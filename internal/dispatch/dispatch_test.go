@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"os"
@@ -350,6 +351,53 @@ func TestInterruptedSweepResumesAndMatchesSingleProcess(t *testing.T) {
 		t.Errorf("fully-complete resume ran %v / skipped %v", out2.Ran, out2.Skipped)
 	}
 	checkAgainstBaseline(t, baseline, out2)
+
+	// A checkpoint written by a build that still had lane fusion carries a
+	// "fused": true manifest field. It must load (unknown fields are
+	// ignored, the version is unchanged) and resume through the one
+	// execution path to records identical to a fresh sweep.
+	legacyDir := t.TempDir()
+	lm, err := NewManifest(specs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteManifest(legacyDir, lm); err != nil {
+		t.Fatal(err)
+	}
+	data, err := encodeManifest(lm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["fused"] = json.RawMessage("true")
+	if data, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(legacyDir, ManifestFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := LoadManifest(legacyDir)
+	if err != nil {
+		t.Fatalf("legacy fused manifest failed to load: %v", err)
+	}
+	recs, err := RunShard(legacy, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteShardResults(legacyDir, legacy.Shards[0], recs); err != nil {
+		t.Fatal(err)
+	}
+	out3, err := (&Orchestrator{Dir: legacyDir, Workers: 2}).Run(specs, 4, true)
+	if err != nil {
+		t.Fatalf("resume from a legacy fused manifest: %v", err)
+	}
+	if got, want := fmt.Sprint(out3.Skipped), fmt.Sprint([]int{0}); got != want {
+		t.Errorf("legacy resume skipped %v, want %v", out3.Skipped, want)
+	}
+	checkAgainstBaseline(t, baseline, out3)
 }
 
 func shardMtime(t *testing.T, dir string, sp ShardPlan) time.Time {
@@ -513,34 +561,5 @@ func TestTechEngineRoundTrip(t *testing.T) {
 		if err != nil || back != eng {
 			t.Errorf("engine %v does not round-trip: %v %v", eng, back, err)
 		}
-	}
-}
-
-// TestFusedSweepMatchesBaseline: a sweep planned with Fused runs every
-// workload column as lockstep lanes over one shared trace, records the flag
-// in the manifest for remote workers, and merges records identical to the
-// per-run single-process baseline.
-func TestFusedSweepMatchesBaseline(t *testing.T) {
-	specs := testGrid(t)
-	baseline := runBaseline(t, specs)
-	dir := t.TempDir()
-	o := &Orchestrator{Dir: dir, Workers: 2, Fused: true}
-	out, err := o.Run(specs, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Manifest.Fused {
-		t.Error("fused sweep's manifest does not carry the fused flag")
-	}
-	checkAgainstBaseline(t, baseline, out)
-
-	// The flag must survive the store round trip — that is how child and
-	// remote workers learn about it.
-	m, err := NewDirStore(dir).LoadManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Fused {
-		t.Error("fused flag lost across the manifest store round trip")
 	}
 }
