@@ -16,6 +16,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"clgp/internal/clock"
 	"clgp/internal/isa"
@@ -39,7 +40,10 @@ type DynInst struct {
 	// FetchedAt is the cycle the instruction left the fetch stage.
 	FetchedAt uint64
 
-	state     instState
+	state instState
+	// slot is the instruction's RUU ring slot while it is dispatched: the
+	// bit it owns in the scheduler masks.
+	slot      uint8
 	issueAt   uint64
 	completAt uint64
 	memReq    *memory.Request
@@ -105,9 +109,6 @@ const (
 	stateCompleted
 )
 
-// Completed reports whether the instruction has finished execution.
-func (d *DynInst) Completed() bool { return d.state == stateCompleted }
-
 // Config sizes the back-end.
 type Config struct {
 	// Width is the dispatch/issue/commit width (Table 2: 4).
@@ -134,6 +135,9 @@ func (c Config) normalise() (Config, error) {
 	if c.RUUSize < c.Width {
 		return c, fmt.Errorf("pipeline: RUU size %d smaller than width %d", c.RUUSize, c.Width)
 	}
+	if c.RUUSize > ruuSlots {
+		return c, fmt.Errorf("pipeline: RUU size %d exceeds the %d-entry scheduler mask", c.RUUSize, ruuSlots)
+	}
 	if c.PipelineDepth <= 0 {
 		c.PipelineDepth = 15
 	}
@@ -154,6 +158,13 @@ func (c Config) issueDelay() uint64 {
 	return uint64(d)
 }
 
+// ruuSlots is the RUU ring length and the width of the scheduler masks (one
+// bit per ring slot in a uint64); RUUSize may not exceed it.
+const (
+	ruuSlots = 64
+	ruuMask  = ruuSlots - 1
+)
+
 // Backend is the back-end model.
 type Backend struct {
 	cfg Config
@@ -161,14 +172,22 @@ type Backend struct {
 
 	// ruu is a fixed ring buffer of in-flight instructions in program order;
 	// logical index 0 (at head) is the oldest. A ring keeps dispatch/commit
-	// allocation-free, unlike the grow-and-shift slice it replaces. Its
-	// length is RUUSize rounded up to a power of two so ring indexing is a
-	// mask instead of a modulo (the modulo dominated the cycle-loop profile);
-	// occupancy is still capped at RUUSize.
-	ruu     []*DynInst
-	ruuMask int
+	// allocation-free, and its fixed 64 slots make ring indexing a mask and
+	// let one uint64 hold a bit per slot. Occupancy is capped at RUUSize.
+	ruu     [ruuSlots]*DynInst
 	ruuHead int
 	ruuN    int
+
+	// The scheduler masks, one bit per ring slot, let TickInto visit only
+	// the entries that can act. active holds every entry not yet completed;
+	// blocked the entries parked because a producer is still in flight;
+	// waiters[s] the consumers parked on the producer in slot s. A walk
+	// parks a consumer when it finds a producer unfinished, and finish
+	// releases the producer's waiters, so a parked entry is never visited
+	// until the walk that completes one of its producers.
+	active  uint64
+	blocked uint64
+	waiters [ruuSlots]uint64
 
 	// nextEv and readyNow cache the back-end's event horizon, recomputed by
 	// every TickInto from the walk it performs anyway and refined by
@@ -203,11 +222,7 @@ func New(cfg Config, mem *memory.Hierarchy) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	ringLen := 1
-	for ringLen < cfg.RUUSize {
-		ringLen <<= 1
-	}
-	return &Backend{cfg: cfg, mem: mem, ruu: make([]*DynInst, ringLen), ruuMask: ringLen - 1, nextEv: clock.None}, nil
+	return &Backend{cfg: cfg, mem: mem, nextEv: clock.None}, nil
 }
 
 // SetPool attaches a DynInst pool; committed and squashed instructions are
@@ -215,7 +230,7 @@ func New(cfg Config, mem *memory.Hierarchy) (*Backend, error) {
 func (b *Backend) SetPool(p *Pool) { b.pool = p }
 
 // ruuAt returns the instruction at logical index i (0 = oldest).
-func (b *Backend) ruuAt(i int) *DynInst { return b.ruu[(b.ruuHead+i)&b.ruuMask] }
+func (b *Backend) ruuAt(i int) *DynInst { return b.ruu[(b.ruuHead+i)&ruuMask] }
 
 // MustNew is New but panics on configuration errors.
 func MustNew(cfg Config, mem *memory.Hierarchy) *Backend {
@@ -267,7 +282,10 @@ func (b *Backend) Dispatch(d *DynInst, now uint64) bool {
 			b.regProducer[d.Static.Dst] = depRef{d: d, seq: d.Seq}
 		}
 	}
-	b.ruu[(b.ruuHead+b.ruuN)&b.ruuMask] = d
+	slot := (b.ruuHead + b.ruuN) & ruuMask
+	b.ruu[slot] = d
+	d.slot = uint8(slot)
+	b.active |= 1 << slot
 	b.ruuN++
 	// The new instruction's earliest action is its issue slot; fold it into
 	// the cached horizon (dispatch happens after this cycle's TickInto, so
@@ -280,6 +298,20 @@ func (b *Backend) Dispatch(d *DynInst, now uint64) bool {
 // cycle now.
 func depsReady(d *DynInst, now uint64) bool {
 	return d.deps[0].done(now) && d.deps[1].done(now)
+}
+
+// park records that d, past its issue delay, waits on an in-flight producer:
+// d leaves the walk until the producer's finish releases it. A consumer
+// waiting on two producers parks on both; whichever finishes first releases
+// it, and the next visit re-parks it on the other.
+func (b *Backend) park(d *DynInst, now uint64) {
+	bit := uint64(1) << d.slot
+	for _, r := range d.deps {
+		if !r.done(now) {
+			b.waiters[r.d.slot] |= bit
+		}
+	}
+	b.blocked |= bit
 }
 
 // Tick advances execution and commit by one cycle. It returns the
@@ -298,41 +330,54 @@ func (b *Backend) Tick(now uint64) (committed []*DynInst, resolved *DynInst) {
 func (b *Backend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst, resolved *DynInst) {
 	committed = buf
 	// Idle gate: when the cached horizon proves no entry can issue, release,
-	// complete or commit at `now`, the whole walk is a no-op — skip it. The
-	// proof leans on the walk's own invariants: program order puts every
-	// producer before its consumers, so a dep-blocked entry becomes ready
-	// only in the walk that completes its producer, and that walk ran
-	// (completions and issue delays are in nextEv, width-blocked and
-	// committable entries set readyNow, unscheduled memory requests pin
+	// complete or commit at `now`, the walk is a no-op — skip it. The proof
+	// leans on the scheduler's own invariant: a parked entry becomes ready
+	// only in the walk that completes its producer (finish releases it), and
+	// that walk ran (completions and issue delays are in nextEv, width-blocked
+	// and committable entries set readyNow, unscheduled memory requests pin
 	// nextEv to the walk's own cycle). Contributions are fixed cycles that
 	// never move earlier, so the cache stays never-late across any span of
-	// gated cycles; SquashWrongPath can expose a committable survivor at the
-	// head, so it forces the next walk itself. The per-cycle NoSkip
-	// clock mode takes this path too: the gate elides provably dead walks,
-	// not cycles, so both clock modes see identical machine states.
+	// gated cycles; SquashWrongPath leaves the cache stale, so it forces the
+	// next walk itself. The per-cycle NoSkip clock mode takes this path too:
+	// the gate elides provably dead walks, not cycles, so both clock modes
+	// see identical machine states.
 	if b.ruuN > 0 && !b.readyNow && b.nextEv > now {
 		return committed, nil
 	}
-	// Issue / execute. The walk doubles as the horizon recomputation: every
-	// state it inspects contributes either "same-cycle work remains"
-	// (readyNow) or its next future event, so NextEvent never has to re-walk
-	// the RUU. The contributions mirror the old NextEvent walk exactly; see
-	// that method's comment for why each one is never late.
+	// Issue / execute. The walk visits, in program order, only the entries
+	// that can act: active (not completed) and not parked on a producer.
+	// Rotating the masks by the ring head puts program order in bit order;
+	// the mask is re-read after every entry because a completion releases
+	// younger consumers, which can issue in this same cycle. The walk
+	// doubles as the horizon recomputation: every entry it visits
+	// contributes either "same-cycle work remains" (readyNow) or its next
+	// future event, so NextEvent never rescans the RUU. Skipped entries
+	// contribute nothing: completed ones are inert, and a parked one's
+	// producer contributes its completion.
 	nextEv := clock.None
 	readyNow := false
 	issued := 0
-	for i := 0; i < b.ruuN; i++ {
-		d := b.ruuAt(i)
+	var seen uint64
+walk:
+	for {
+		pending := bits.RotateLeft64(b.active&^b.blocked, -b.ruuHead) &^ seen
+		if pending == 0 {
+			break
+		}
+		i := bits.TrailingZeros64(pending)
+		seen = 2<<i - 1 // bits 0..i; wraps to all ones at i = 63
+		d := b.ruu[(b.ruuHead+i)&ruuMask]
 		switch d.state {
 		case stateDispatched:
 			if now < d.issueAt {
+				// issueAt never decreases in program order, so every younger
+				// entry is inside its issue delay too, and none wakes before
+				// this one.
 				nextEv = clock.Min(nextEv, d.issueAt)
-				continue
+				break walk
 			}
 			if !depsReady(d, now) {
-				// No event of its own: each in-flight producer contributes
-				// its completion below, and a recycled or completed producer
-				// makes depsReady true.
+				b.park(d, now)
 				continue
 			}
 			if issued >= b.cfg.Width {
@@ -384,7 +429,7 @@ func (b *Backend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst, re
 			break
 		}
 		b.ruu[b.ruuHead] = nil
-		b.ruuHead = (b.ruuHead + 1) & b.ruuMask
+		b.ruuHead = (b.ruuHead + 1) & ruuMask
 		b.ruuN--
 		b.committed++
 		committed = append(committed, head)
@@ -428,26 +473,31 @@ func (b *Backend) issue(d *DynInst, now uint64) {
 	}
 }
 
-// finish marks an instruction complete.
+// finish marks d complete: it leaves the active set and releases the
+// consumers parked on it.
 func (b *Backend) finish(d *DynInst) {
 	d.state = stateCompleted
+	b.active &^= 1 << d.slot
+	b.blocked &^= b.waiters[d.slot]
+	b.waiters[d.slot] = 0
 }
 
 // NextEvent returns the earliest cycle, at or after now, at which Tick could
 // change any back-end state (the clock contract, see package clock). It is
-// O(1): TickInto recomputes the horizon during the walk it performs anyway
-// and Dispatch folds in new instructions, so no rescan happens here. The
-// cached contributions mirror Tick's state machine exactly:
+// O(1): TickInto recomputes the horizon during its walk and Dispatch folds in
+// new instructions, so no rescan happens here. The cached contributions
+// mirror Tick's state machine exactly:
 //
 //   - a committable head, or a dispatched instruction past its issue delay
 //     with completed producers, is same-cycle work (it was only width-limited
 //     this cycle) — recorded as readyNow;
 //   - dispatched instructions still inside the issue delay wake at issueAt
 //     (possibly early, if their producers are slower — harmlessly
-//     conservative);
-//   - dispatched instructions stalled on in-flight producers have no event of
-//     their own: each producer contributes its completion, and a recycled or
-//     already-completed producer makes depsReady true at the tick;
+//     conservative); the oldest one's issueAt is the earliest, so the walk
+//     stops there;
+//   - instructions parked on in-flight producers have no event of their
+//     own: each producer contributes its completion, and the walk that
+//     completes it releases them;
 //   - memory-waiting instructions wake when their request's data arrives
 //     (a request still contending for the bus reports "now", forcing
 //     per-cycle ticks until it is scheduled), executing ones at completAt.
@@ -471,33 +521,32 @@ func (b *Backend) NextEvent(now uint64) uint64 {
 }
 
 // SquashWrongPath removes every wrong-path instruction from the RUU. The
-// core calls it when the mispredicted branch resolves. Squashed instructions
-// are released to the pool when one is attached. It returns the number of
+// core calls it when the mispredicted branch resolves. Wrong-path
+// instructions are always the youngest — everything dispatched after the
+// branch — so the squash truncates that suffix. Squashed instructions are
+// released to the pool when one is attached. It returns the number of
 // squashed instructions.
 func (b *Backend) SquashWrongPath() int {
 	n := 0
-	w := 0
-	for r := 0; r < b.ruuN; r++ {
-		d := b.ruuAt(r)
-		if d.WrongPath {
-			n++
-			if b.pool != nil {
-				b.pool.Put(d)
-			}
-			continue
+	for b.ruuN > 0 {
+		slot := (b.ruuHead + b.ruuN - 1) & ruuMask
+		d := b.ruu[slot]
+		if !d.WrongPath {
+			break
 		}
-		b.ruu[(b.ruuHead+w)&b.ruuMask] = d
-		w++
+		// Wrong-path instructions carry no dependences, so none is parked
+		// and none has parked consumers.
+		b.active &^= 1 << slot
+		b.ruu[slot] = nil
+		b.ruuN--
+		n++
+		if b.pool != nil {
+			b.pool.Put(d)
+		}
 	}
-	// Clear the vacated tail slots so no stale pointers linger.
-	for i := w; i < b.ruuN; i++ {
-		b.ruu[(b.ruuHead+i)&b.ruuMask] = nil
-	}
-	b.ruuN = w
 	b.wrongSquash += uint64(n)
-	// Removing a wrong-path head can expose an already-completed survivor at
-	// the commit point — work the cached horizon never accounted for. Force
-	// the next TickInto to walk and recompute.
+	// The cached horizon still counts the squashed entries; rather than
+	// patch it, force the next TickInto to walk and recompute it.
 	b.readyNow = true
 	return n
 }

@@ -39,6 +39,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Width: 8, RUUSize: 4}, nil); err == nil {
 		t.Errorf("RUU smaller than width should error")
 	}
+	if _, err := New(Config{Width: 4, RUUSize: 65}, nil); err == nil {
+		t.Errorf("RUU larger than the 64-entry scheduler mask should error")
+	}
 	b := MustNew(Config{Width: 4, RUUSize: 64}, nil)
 	cfg := b.Config()
 	if cfg.PipelineDepth != 15 || cfg.FrontEndStages != 7 {
@@ -273,40 +276,48 @@ func TestMispredictedBranchResolution(t *testing.T) {
 
 func TestWrongPathInstructionsNeverCommit(t *testing.T) {
 	b := MustNew(DefaultConfig(), nil)
-	w := dyn(alu(0x10, isa.RegZero, isa.RegZero, 3), 0)
+	// Wrong-path instructions follow the (correct-path) instruction before
+	// them in program order, as the front-end delivers them.
+	c := dyn(alu(0x10, isa.RegZero, isa.RegZero, 4), 0)
+	b.Dispatch(c, 0)
+	w := dyn(alu(0x14, isa.RegZero, isa.RegZero, 3), 1)
 	w.WrongPath = true
 	b.Dispatch(w, 0)
-	c := dyn(alu(0x14, isa.RegZero, isa.RegZero, 4), 1)
-	b.Dispatch(c, 0)
-	// Even after many cycles the wrong-path head blocks commit; nothing is
-	// committed until the squash.
+	// Even after many cycles only the correct-path instruction commits; the
+	// completed wrong-path instruction then blocks commit at the head until
+	// the squash.
+	total := 0
 	for now := uint64(0); now < 30; now++ {
 		committed, _ := b.Tick(now)
-		if len(committed) != 0 {
-			t.Fatalf("committed %d instructions past a wrong-path head", len(committed))
+		for _, d := range committed {
+			if d.WrongPath {
+				t.Fatalf("committed wrong-path instruction seq %d", d.Seq)
+			}
 		}
-	}
-	b.SquashWrongPath()
-	total := 0
-	for now := uint64(30); now < 60 && b.Occupancy() > 0; now++ {
-		committed, _ := b.Tick(now)
 		total += len(committed)
 	}
-	if total != 1 {
-		t.Errorf("committed %d, want 1 after squash", total)
+	if total != 1 || b.Occupancy() != 1 {
+		t.Fatalf("committed %d (occupancy %d), want 1 with the wrong-path entry left", total, b.Occupancy())
+	}
+	if n := b.SquashWrongPath(); n != 1 {
+		t.Errorf("squashed %d, want 1", n)
+	}
+	if !b.Drained() {
+		t.Errorf("occupancy %d after squash, want 0", b.Occupancy())
 	}
 }
 
 func TestWrongPathDoesNotPolluteScoreboard(t *testing.T) {
 	b := MustNew(DefaultConfig(), nil)
 	// A wrong-path FP instruction writes r5 very late; a correct-path ALU
-	// instruction reading r5 must not wait for it.
+	// instruction reading r5, dispatched after the squash, must not wait for
+	// it.
 	w := dyn(&isa.StaticInst{PC: 0, Class: isa.OpFP, Src1: isa.RegZero, Src2: isa.RegZero, Dst: 5}, 0)
 	w.WrongPath = true
 	b.Dispatch(w, 0)
+	b.SquashWrongPath()
 	c := dyn(alu(0x4, 5, isa.RegZero, 6), 1)
 	b.Dispatch(c, 0)
-	b.SquashWrongPath()
 	end := runUntilDrained(t, b, 0, 40)
 	if end > 20 {
 		t.Errorf("correct-path instruction waited %d cycles on a squashed producer", end)

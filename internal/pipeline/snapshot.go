@@ -121,7 +121,8 @@ func (b *Backend) SaveState(e *snap.Encoder, s *memory.ReqSet, codec InstCodec) 
 
 // LoadState restores state saved by SaveState into a back-end built from the
 // same configuration. RUU entries are drawn from the attached pool (fresh
-// allocations when the pool is empty); the ring is re-based at zero.
+// allocations when the pool is empty); the ring is re-based at zero and the
+// scheduler masks are rebuilt from the restored entries.
 // Dependence and scoreboard references are re-bound to the restored producer
 // instructions by sequence number — a sequence no longer in the RUU restores
 // as a detached reference, which depRef.done already treats as a departed
@@ -132,11 +133,15 @@ func (b *Backend) LoadState(d *snap.Decoder, s *memory.ReqSet, codec InstCodec) 
 	if d.Err() != nil {
 		return
 	}
-	for i := range b.ruu {
-		b.ruu[i] = nil
-	}
+	b.ruu = [ruuSlots]*DynInst{}
 	b.ruuHead = 0
 	b.ruuN = n
+	// The scheduler masks are derived state, rebuilt rather than saved:
+	// every uncompleted entry is active, and none starts parked — the first
+	// walk re-parks each consumer still waiting on a producer, as it would
+	// have found it waiting.
+	b.active, b.blocked = 0, 0
+	b.waiters = [ruuSlots]uint64{}
 	var fixes []depFix
 	bySeq := make(map[uint64]*DynInst, n)
 	for i := 0; i < n; i++ {
@@ -148,6 +153,10 @@ func (b *Backend) LoadState(d *snap.Decoder, s *memory.ReqSet, codec InstCodec) 
 		}
 		fixes = append(fixes, LoadInst(d, di, s, codec)...)
 		b.ruu[i] = di
+		di.slot = uint8(i)
+		if di.state != stateCompleted {
+			b.active |= 1 << i
+		}
 		bySeq[di.Seq] = di
 	}
 	if d.Err() != nil {
