@@ -116,13 +116,13 @@ func cmdTraceInfo(args []string) error {
 	if rd.Origin() != 0 {
 		fmt.Printf("  slice origin:  record %d of the full generation\n", rd.Origin())
 	}
-	fmt.Printf("  file size:     %d bytes (%d compressed payload, %.2f B/record)\n",
-		st.Size(), rd.CompressedBytes(), float64(st.Size())/float64(max(rd.Len(), 1)))
+	fmt.Printf("  file size:     %d bytes (%d in chunks, %.2f B/record)\n",
+		st.Size(), rd.ChunkBytes(), float64(st.Size())/float64(max(rd.Len(), 1)))
 	if *chunks {
 		for i := 0; i < rd.NumChunks(); i++ {
 			ci := rd.Chunk(i)
 			fmt.Printf("  chunk %4d: records [%d,%d) @ offset %d, %d bytes\n",
-				i, ci.FirstRecord, ci.FirstRecord+ci.Records, ci.Offset, ci.CompressedBytes)
+				i, ci.FirstRecord, ci.FirstRecord+ci.Records, ci.Offset, ci.ChunkBytes)
 		}
 	}
 	return nil

@@ -103,7 +103,12 @@ func (t *WindowTrace) At(i int) Record {
 	for i >= t.base+t.n {
 		t.fill()
 	}
-	return t.buf[(t.head+(i-t.base))%len(t.buf)]
+	// head < len(buf) and i-base < n <= len(buf), so one subtract wraps.
+	j := t.head + (i - t.base)
+	if j >= len(t.buf) {
+		j -= len(t.buf)
+	}
+	return t.buf[j]
 }
 
 // Advance moves the eviction frontier: records below frontier have

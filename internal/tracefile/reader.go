@@ -29,8 +29,8 @@ type Reader struct {
 	// decoded-chunk cache
 	cur  int // chunk id held in recs, -1 when empty
 	recs []trace.Record
-	raw  []byte // compressed chunk scratch
-	pay  []byte // decompressed payload scratch
+	raw  []byte       // gzip-framed chunk scratch
+	pay  bytes.Buffer // decoded payload scratch
 	br   *bytes.Reader
 	gz   *gzip.Reader
 }
@@ -169,24 +169,25 @@ type ChunkInfo struct {
 	FirstRecord int
 	// Records is the number of records in the chunk.
 	Records int
-	// Offset and CompressedBytes locate the chunk's gzip stream in the file.
-	Offset          int64
-	CompressedBytes int
+	// Offset and ChunkBytes locate the chunk's gzip stream in the file.
+	Offset     int64
+	ChunkBytes int
 }
 
 // Chunk returns the index entry of chunk i.
 func (r *Reader) Chunk(i int) ChunkInfo {
 	ci := r.index[i]
 	return ChunkInfo{
-		FirstRecord:     r.first[i],
-		Records:         int(ci.count),
-		Offset:          int64(ci.offset),
-		CompressedBytes: int(ci.length),
+		FirstRecord: r.first[i],
+		Records:     int(ci.count),
+		Offset:      int64(ci.offset),
+		ChunkBytes:  int(ci.length),
 	}
 }
 
-// CompressedBytes returns the total compressed payload size over all chunks.
-func (r *Reader) CompressedBytes() int64 {
+// ChunkBytes returns the total byte length of all chunks' gzip streams
+// (the file minus header, footer and trailer).
+func (r *Reader) ChunkBytes() int64 {
 	var n int64
 	for _, ci := range r.index {
 		n += int64(ci.length)
@@ -200,15 +201,23 @@ func (r *Reader) chunkOf(i int) int {
 	return sort.Search(len(r.first), func(c int) bool { return r.first[c] > i }) - 1
 }
 
-// loadChunk decodes chunk c into the cache.
+// loadChunk decodes chunk c into the cache. The scratch buffers are sized
+// once, to the longest chunk in the index, so a forward scan allocates them
+// once: a stored chunk's payload is shorter than its gzip stream, and a
+// deflated one grows the payload buffer at most a few times.
 func (r *Reader) loadChunk(c int) error {
 	if r.cur == c {
 		return nil
 	}
-	ci := r.index[c]
-	if cap(r.raw) < int(ci.length) {
-		r.raw = make([]byte, ci.length)
+	if r.raw == nil {
+		var longest uint32
+		for _, ci := range r.index {
+			longest = max(longest, ci.length)
+		}
+		r.raw = make([]byte, longest)
+		r.pay.Grow(int(longest))
 	}
+	ci := r.index[c]
 	raw := r.raw[:ci.length]
 	if _, err := r.r.ReadAt(raw, int64(ci.offset)); err != nil {
 		return fmt.Errorf("tracefile: reading chunk %d: %w", c, err)
@@ -223,22 +232,20 @@ func (r *Reader) loadChunk(c int) error {
 	} else if err := r.gz.Reset(r.br); err != nil {
 		return fmt.Errorf("%w: chunk %d: %v", ErrCorrupt, c, err)
 	}
-	r.pay = r.pay[:0]
-	if cap(r.pay) == 0 {
-		r.pay = make([]byte, 0, 4*r.opts.ChunkRecords)
+	r.pay.Reset()
+	if _, err := r.pay.ReadFrom(r.gz); err != nil {
+		return fmt.Errorf("%w: chunk %d: %v", ErrCorrupt, c, err)
 	}
-	var rbuf [4096]byte
-	for {
-		n, err := r.gz.Read(rbuf[:])
-		r.pay = append(r.pay, rbuf[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("%w: chunk %d: %v", ErrCorrupt, c, err)
-		}
+	// Every record costs at least its flags byte, so a payload shorter than
+	// the advertised count is corrupt; checking first bounds the record
+	// buffer by bytes actually decoded rather than by the index.
+	if r.pay.Len() < int(ci.count) {
+		return fmt.Errorf("%w: chunk %d: %d payload bytes cannot hold %d records", ErrCorrupt, c, r.pay.Len(), ci.count)
 	}
-	recs, err := decodeChunk(r.pay, int(ci.count), r.recs[:0])
+	if cap(r.recs) < int(ci.count) {
+		r.recs = make([]trace.Record, 0, ci.count)
+	}
+	recs, err := decodeChunk(r.pay.Bytes(), int(ci.count), r.recs[:0])
 	if err != nil {
 		return fmt.Errorf("%w: chunk %d: %v", ErrCorrupt, c, err)
 	}

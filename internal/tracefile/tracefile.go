@@ -10,8 +10,9 @@
 //	         slice origin, records-per-chunk, workload name
 //	chunks   each chunk is an independently decodable gzip stream of
 //	         varint/delta-encoded records (gzip's CRC makes every chunk
-//	         self-checking)
-//	footer   chunk index: per chunk its file offset, compressed byte
+//	         self-checking); writers store the payload uncompressed,
+//	         readers accept any deflate level
+//	footer   chunk index: per chunk its file offset, gzip stream byte
 //	         length and record count, plus the total record count
 //	trailer  fixed-size pointer to the footer, so a reader seeks straight
 //	         to the index without scanning the chunks
@@ -28,8 +29,9 @@
 //	            the previous memory record's EffAddr
 //
 // On the sequential correct path almost every record costs one flags byte
-// plus an occasional short delta, so files run well under two bytes per
-// record before compression.
+// plus an occasional short delta, so files run about 1.5–2.5 bytes per
+// record (the upper end for memory-heavy profiles such as mcf) with no
+// compression at all.
 //
 // The header's workload fingerprint (workload.Fingerprint: the program-image
 // hash folded with every walk parameter of the generating profile) ties the
@@ -53,7 +55,8 @@ const (
 
 	// DefaultChunkRecords is the records-per-chunk used when Options leaves
 	// it zero: 64K records decode to ~2MB, small enough to keep a reader's
-	// resident decode buffer bounded and large enough to compress well.
+	// resident decode buffer bounded and large enough that the per-chunk
+	// gzip framing and index entry cost nothing measurable.
 	DefaultChunkRecords = 1 << 16
 
 	// maxNameLen bounds the workload name stored in the header.
@@ -120,7 +123,7 @@ func FingerprintKey(fingerprint uint64) string {
 // chunkInfo is one footer index entry.
 type chunkInfo struct {
 	offset uint64 // file offset of the chunk's gzip stream
-	length uint32 // compressed byte length
+	length uint32 // gzip stream byte length
 	count  uint32 // records in the chunk
 }
 

@@ -3,9 +3,11 @@ package tracefile
 import (
 	"bytes"
 	"io"
+	"path/filepath"
 	"testing"
 
 	"clgp/internal/trace"
+	"clgp/internal/workload"
 )
 
 // benchRecords is sized so the encode loop spans several chunks per
@@ -67,4 +69,49 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(len(recs)))
+}
+
+// streamSink keeps the compiler from discarding the records the stream
+// benchmark reads.
+var streamSink trace.Record
+
+// BenchmarkWindowTraceStream is the streamed-run read path end to end: open
+// a recorded mcf container, window it with trace.NewWindowTrace and read
+// every record in order, advancing the frontier behind the reads as the
+// engine's commit does.
+func BenchmarkWindowTraceStream(b *testing.B) {
+	const n = 1 << 18
+	p, err := workload.ProfileByName("mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "mcf.clgt")
+	w, err := Create(path, Options{Workload: p.Name, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := workload.GenerateTo(p, n, 1, w); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd, err := Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wt, err := trace.NewWindowTrace(rd, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < wt.Len(); k++ {
+			streamSink = wt.At(k)
+			wt.Advance(k)
+		}
+		rd.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
 }

@@ -2,9 +2,11 @@ package tracefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"clgp/internal/trace"
@@ -236,7 +238,7 @@ func TestCorruptContainers(t *testing.T) {
 	})
 	t.Run("flipped-chunk-byte", func(t *testing.T) {
 		// Structure (header, index, trailer) stays valid; the damage is in
-		// compressed payload, so it must surface when the chunk is decoded
+		// the chunk payload, so it must surface when the chunk is decoded
 		// (gzip CRC or varint decode).
 		mangled := append([]byte(nil), valid...)
 		mangled[headerFixedLen+len("gcc")+100] ^= 0x40
@@ -255,6 +257,126 @@ func TestCorruptContainers(t *testing.T) {
 	})
 }
 
+// TestChunkCountBoundedByPayload: a footer may claim up to chunk_records
+// records for a chunk whose payload holds far fewer. The reader must reject
+// it without first sizing its record buffer to the claim.
+func TestChunkCountBoundedByPayload(t *testing.T) {
+	const claim = 1 << 22 // 128MB of records if believed
+	path := writeContainer(t, testRecords(t, 10, 1), Options{Workload: "gcc", ChunkRecords: claim})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Footer: num_chunks u32, then offset u64, length u32, count u32 per
+	// chunk, then total u64.
+	foot := binary.LittleEndian.Uint64(data[len(data)-trailerLen:])
+	binary.LittleEndian.PutUint32(data[foot+4+12:], claim)
+	binary.LittleEndian.PutUint64(data[foot+4+16:], claim)
+	rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = rd.ReadRecordsAt(0, make([]trace.Record, 1))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("read of an over-claimed chunk: got %v, want ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("reader allocated %d bytes for a %d-byte chunk", grew, rd.ChunkBytes())
+	}
+}
+
+// deflatedContainer was recorded by a build whose writer deflated chunks at
+// gzip's default level (`clgpsim trace record -profile gcc -insts 3000
+// -seed 11 -chunk 1024`). Current writers store chunks uncompressed; readers
+// must still open every container already in a store or cache.
+const deflatedContainer = "testdata/gcc-3k-deflated.clgt"
+
+func TestDeflatedContainerStillOpens(t *testing.T) {
+	rd, err := Open(deflatedContainer)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer rd.Close()
+	p, err := workload.ProfileByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Generate(p, 3_000, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.Workload() != "gcc" || rd.Seed() != 11 || rd.Fingerprint() != workload.Fingerprint(p, w.Dict) {
+		t.Fatalf("header: workload %q seed %d fingerprint %#x", rd.Workload(), rd.Seed(), rd.Fingerprint())
+	}
+	got, err := rd.ReadAll()
+	if err != nil {
+		t.Fatalf("readall: %v", err)
+	}
+	recs := w.Trace.Records()
+	if got.Len() != len(recs) {
+		t.Fatalf("decoded %d records, regenerated %d", got.Len(), len(recs))
+	}
+	for i, r := range got.Records() {
+		if r != recs[i] {
+			t.Fatalf("record %d decoded as %+v, regenerated %+v", i, r, recs[i])
+		}
+	}
+
+	// Slicing re-encodes through the current (stored-chunk) writer.
+	lo, hi := 700, 2_500
+	dstPath := filepath.Join(t.TempDir(), "slice.clgt")
+	dst, err := Create(dstPath, Options{Workload: "gcc", Seed: 11, Origin: lo, ChunkRecords: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Slice(dst, rd, lo, hi); err != nil {
+		t.Fatalf("slice: %v", err)
+	}
+	if err := dst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sl, err := Open(dstPath)
+	if err != nil {
+		t.Fatalf("open slice: %v", err)
+	}
+	defer sl.Close()
+	part, err := sl.ReadAll()
+	if err != nil {
+		t.Fatalf("readall slice: %v", err)
+	}
+	if part.Len() != hi-lo {
+		t.Fatalf("slice holds %d records, want %d", part.Len(), hi-lo)
+	}
+	for i, r := range part.Records() {
+		if r != recs[lo+i] {
+			t.Fatalf("slice record %d = %+v, want %+v", i, r, recs[lo+i])
+		}
+	}
+}
+
+// TestWriterStoresChunks pins the writer to stored deflate blocks: the first
+// block header after each chunk's 10-byte gzip header must carry BTYPE 00.
+func TestWriterStoresChunks(t *testing.T) {
+	path := writeContainer(t, testRecords(t, 10_000, 9), Options{Workload: "gcc", ChunkRecords: 4096})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	for i := 0; i < rd.NumChunks(); i++ {
+		if btype := data[rd.Chunk(i).Offset+10] >> 1 & 3; btype != 0 {
+			t.Errorf("chunk %d starts with deflate block type %d, want 0 (stored)", i, btype)
+		}
+	}
+}
+
 // FuzzOpen drives NewReader + a full decode over mutated container bytes.
 // The invariant: no panic, and a successful open either decodes exactly
 // Len() records or reports an error.
@@ -265,12 +387,17 @@ func FuzzOpen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	deflated, err := os.ReadFile(deflatedContainer)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1])                         // truncated trailer
 	f.Add(valid[:len(valid)/3])                         // truncated chunks
 	f.Add(valid[:headerFixedLen])                       // header only
 	f.Add(append([]byte(nil), valid[len(valid)/2:]...)) // missing header
 	f.Add([]byte{})
+	f.Add(deflated) // inflate path: chunks written at gzip's default level
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {

@@ -13,9 +13,16 @@ import (
 )
 
 // Writer serialises records into the chunked container format. It buffers
-// one chunk of encoded records at a time, compresses full chunks to the
-// underlying writer, and emits the footer index and trailer on Close. The
-// underlying writer never needs to seek, so any io.Writer works.
+// one chunk of encoded records at a time, frames each full chunk as a gzip
+// stream of stored (uncompressed) deflate blocks on the underlying writer,
+// and emits the footer index and trailer on Close. The underlying writer
+// never needs to seek, so any io.Writer works.
+//
+// Chunks are stored rather than deflated because the delta/varint record
+// encoding already does most of the size work: deflate saved about a third
+// of the bytes but cost most of the recording time and slowed every
+// streamed read. The gzip framing stays for its per-chunk CRC, and readers
+// decode any deflate level, so containers written deflated still open.
 type Writer struct {
 	w      io.Writer
 	closer io.Closer // closed on Close when the Writer owns the file
@@ -27,7 +34,7 @@ type Writer struct {
 	prevTarget isa.Addr
 	prevEff    isa.Addr
 
-	// compression scratch, reused across chunks
+	// gzip framing scratch, reused across chunks
 	cb bytes.Buffer
 	gz *gzip.Writer
 
@@ -47,6 +54,10 @@ func NewWriter(w io.Writer, opts Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
+	gz, err := gzip.NewWriterLevel(io.Discard, gzip.NoCompression)
+	if err != nil {
+		return nil, fmt.Errorf("tracefile: %w", err)
+	}
 	if _, err := w.Write(hdr); err != nil {
 		return nil, fmt.Errorf("tracefile: writing header: %w", err)
 	}
@@ -54,7 +65,7 @@ func NewWriter(w io.Writer, opts Options) (*Writer, error) {
 		w:      w,
 		opts:   opts,
 		buf:    make([]byte, 0, 4*opts.ChunkRecords),
-		gz:     gzip.NewWriter(io.Discard),
+		gz:     gz,
 		offset: uint64(len(hdr)),
 	}, nil
 }
@@ -118,7 +129,8 @@ func (w *Writer) Write(r trace.Record) error {
 	return nil
 }
 
-// flushChunk compresses and emits the chunk under construction.
+// flushChunk frames the chunk under construction as a gzip stream and emits
+// it.
 func (w *Writer) flushChunk() error {
 	if w.inChunk == 0 {
 		return nil
@@ -126,11 +138,11 @@ func (w *Writer) flushChunk() error {
 	w.cb.Reset()
 	w.gz.Reset(&w.cb)
 	if _, err := w.gz.Write(w.buf); err != nil {
-		w.err = fmt.Errorf("tracefile: compressing chunk %d: %w", len(w.index), err)
+		w.err = fmt.Errorf("tracefile: framing chunk %d: %w", len(w.index), err)
 		return w.err
 	}
 	if err := w.gz.Close(); err != nil {
-		w.err = fmt.Errorf("tracefile: compressing chunk %d: %w", len(w.index), err)
+		w.err = fmt.Errorf("tracefile: framing chunk %d: %w", len(w.index), err)
 		return w.err
 	}
 	if _, err := w.w.Write(w.cb.Bytes()); err != nil {

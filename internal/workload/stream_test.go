@@ -229,3 +229,25 @@ func TestBuildImageSafeForConcurrentLookup(t *testing.T) {
 		t.Fatal("entry point not in the image")
 	}
 }
+
+type discardSink struct{}
+
+func (discardSink) Write(trace.Record) error { return nil }
+
+// BenchmarkGenerateTo is the streaming walk alone (image build plus record
+// generation), the workload half of recording a trace container.
+func BenchmarkGenerateTo(b *testing.B) {
+	const n = 200_000
+	p, err := ProfileByName("mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateTo(p, n, 1, discardSink{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
+}
