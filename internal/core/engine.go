@@ -11,7 +11,6 @@ import (
 	"clgp/internal/pipeline"
 	"clgp/internal/prefetch"
 	"clgp/internal/stats"
-	"clgp/internal/telemetry"
 )
 
 // Engine is the simulated processor: the trace-driven, wrong-path-capable
@@ -65,17 +64,10 @@ type Engine struct {
 	// Event-horizon clock state: noSkip pins the engine to the per-cycle
 	// reference path; skipped counts the cycles fast-forwarded over (they
 	// are still part of e.cycle — results are bit-identical either way).
-	// wpProduced counts wrong-path cycles handled by the production fast
-	// path: ticked for block production only, with the idle component ticks
-	// elided (not counted as skipped — the cycles did real work).
-	noSkip     bool
-	skipped    uint64
-	wpProduced uint64
-	// ffJumps counts distinct fast-forward jumps; pfCancelled counts
-	// prefetches cancelled on misprediction recovery. Both feed the
-	// telemetry.Snapshot; like skipped, they are single-writer uint64s.
-	ffJumps     uint64
-	pfCancelled uint64
+	// Cycles handled by the wrong-path production fast path are not counted
+	// as skipped: they did real work.
+	noSkip  bool
+	skipped uint64
 
 	// Prediction state. predCursor indexes the next trace record not yet
 	// consumed by a correct-path prediction; on the wrong path the predictor
@@ -265,39 +257,9 @@ func (e *Engine) Cycles() uint64 { return e.cycle }
 // SkippedCycles returns how many of the simulated cycles were fast-forwarded
 // by the event-horizon clock rather than ticked individually (always 0 with
 // Config.NoSkip). It is a simulator-speed diagnostic: the results of a run
-// are bit-identical with and without skipping. It travels in
-// stats.Results.Telemetry (mode-dependent by design); cross-mode
-// equivalence checks compare Results.WithoutTelemetry().
+// are bit-identical with and without skipping, so the count depends on the
+// clock mode and is not part of stats.Results.
 func (e *Engine) SkippedCycles() uint64 { return e.skipped }
-
-// TelemetrySnapshot returns the per-run simulator-speed and
-// instrumentation counters. Unlike the architectural counters in
-// stats.Results, these depend on the clock mode and trace backing
-// (in-memory vs streaming window).
-func (e *Engine) TelemetrySnapshot() telemetry.Snapshot {
-	s := telemetry.Snapshot{
-		Cycles:              e.cycle,
-		SkippedCycles:       e.skipped,
-		FastForwards:        e.ffJumps,
-		WrongPathProduced:   e.wpProduced,
-		WrongPathFetched:    e.wrongPathFetched,
-		PrefetchesCancelled: e.pfCancelled,
-	}
-	if ws, ok := e.tr.(windowStats); ok {
-		s.WindowMaxResident = ws.MaxResident()
-		s.WindowCap = ws.Cap()
-		s.WindowSourceReads = ws.SourceReads()
-	}
-	return s
-}
-
-// windowStats is the optional interface a TraceSource implements when it
-// streams through a bounded window (trace.WindowTrace does).
-type windowStats interface {
-	MaxResident() int
-	Cap() int
-	SourceReads() int64
-}
 
 // CycleAccounts returns the cycle-accounting buckets so far. The buckets sum
 // to Cycles() at every Step boundary (the conservation invariant) and are
@@ -541,7 +503,6 @@ func (e *Engine) skipToNextEvent() {
 		e.accounts[cause] += target - now
 		e.skipped += target - now
 		e.cycle = target
-		e.ffJumps++
 	}
 }
 
@@ -576,7 +537,6 @@ func (e *Engine) produceWrongPathUntil(limit uint64) {
 	// skipped; e.skipped deliberately excludes them. They are wrong-path
 	// cycles by construction, matching the per-cycle charge.
 	e.accounts[stats.CycleWrongPath] += now - e.cycle
-	e.wpProduced += now - e.cycle
 	e.cycle = now
 }
 
@@ -605,11 +565,6 @@ func (e *Engine) Results() *stats.Results {
 	}
 	e.mem.Stats(r)
 	e.eng.CollectStats(r)
-	snap := e.TelemetrySnapshot()
-	// PrefetchesIssued lives in the hierarchy's stats; mirror it into the
-	// snapshot after CollectStats so the telemetry block is self-contained.
-	snap.PrefetchesIssued = r.PrefetchesIssued
-	r.Telemetry = &snap
 	return r
 }
 
@@ -899,7 +854,7 @@ func (e *Engine) dqPop() {
 func (e *Engine) recoverFromMisprediction(now uint64) {
 	e.eng.Flush()
 	e.backend.SquashWrongPath()
-	e.pfCancelled += uint64(e.mem.CancelPrefetches())
+	e.mem.CancelPrefetches()
 
 	// Everything fetched after the (already dispatched and resolved) branch
 	// is wrong-path: drop it.

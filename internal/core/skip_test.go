@@ -56,7 +56,7 @@ func TestSkipEquivalence(t *testing.T) {
 				}
 				// Results carry no skip-dependent fields by design, so the
 				// whole record must match bit for bit.
-				if !reflect.DeepEqual(got.WithoutTelemetry(), ref.WithoutTelemetry()) {
+				if !reflect.DeepEqual(got, ref) {
 					t.Errorf("event-horizon results diverge from per-cycle reference:\nskip:    %+v\nno-skip: %+v", got, ref)
 				}
 				if got.Cycles != ref.Cycles {
@@ -113,23 +113,31 @@ func TestSkipEquivalenceMispredictHeavy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("engine: %v", err)
 			}
-			got, err := eng.Run()
-			if err != nil {
+			// Every Step ticks exactly one cycle and may then fast-forward
+			// (SkippedCycles) or run the production fast path; counting the
+			// Steps therefore yields the production cycles as the rest.
+			var steps uint64
+			for more := true; more; steps++ {
+				more = eng.Step()
+			}
+			if err := eng.Err(); err != nil {
 				t.Fatalf("skip run: %v", err)
 			}
-			if !reflect.DeepEqual(got.WithoutTelemetry(), ref.WithoutTelemetry()) {
+			got := eng.Results()
+			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("mispredict-heavy results diverge from per-cycle reference:\nskip:    %+v\nno-skip: %+v", got, ref)
 			}
 			if got.Mispredictions == 0 {
 				t.Fatal("profile produced no mispredictions; the test exercises nothing")
 			}
-			if eng.wpProduced == 0 {
+			produced := got.Cycles - eng.SkippedCycles() - steps
+			if produced == 0 {
 				t.Errorf("wrong-path production fast path never engaged over %d mispredictions", got.Mispredictions)
 			}
 			t.Logf("%s: %d cycles, %d skipped (%.1f%%), %d wrong-path production cycles, %d mispredicts",
 				ek, got.Cycles, eng.SkippedCycles(),
 				100*float64(eng.SkippedCycles())/float64(got.Cycles),
-				eng.wpProduced, got.Mispredictions)
+				produced, got.Mispredictions)
 		})
 	}
 }
@@ -164,7 +172,7 @@ func TestSkipEquivalenceStreamed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("streamed skip run: %v", err)
 	}
-	if !reflect.DeepEqual(got.WithoutTelemetry(), ref.WithoutTelemetry()) {
+	if !reflect.DeepEqual(got, ref) {
 		t.Errorf("streamed event-horizon results diverge from per-cycle in-memory reference:\nskip:    %+v\nno-skip: %+v", got, ref)
 	}
 	if eng.SkippedCycles() == 0 {

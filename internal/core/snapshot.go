@@ -76,12 +76,11 @@ func (e *Engine) LoadStatic(d *snap.Decoder) *isa.StaticInst {
 // workload name and fingerprint identify the record stream the engine is
 // simulating; Restore refuses a snapshot whose identity does not match.
 //
-// The clock-mode diagnostic counters (SkippedCycles, fast-forward jumps,
-// wrong-path production credit) are deliberately not captured: they are
-// telemetry, excluded from stats.Results.WithoutTelemetry, and saving them
-// would make the snapshot bytes depend on the clock mode of the recording
-// run. Everything that feeds the architectural results is captured exactly,
-// which is what makes a restored run bit-identical to a straight-through one.
+// The clock-mode diagnostic SkippedCycles is deliberately not captured: it
+// is not part of stats.Results, and saving it would make the snapshot bytes
+// depend on the clock mode of the recording run. Everything that feeds the
+// architectural results is captured exactly, which is what makes a restored
+// run bit-identical to a straight-through one.
 func (e *Engine) Snapshot(workload string, fingerprint uint64) ([]byte, error) {
 	if e.err != nil {
 		return nil, fmt.Errorf("core %s: cannot snapshot a failed engine: %w", e.cfg.Name, e.err)
@@ -111,7 +110,6 @@ func (e *Engine) Snapshot(workload string, fingerprint uint64) ([]byte, error) {
 	enc.U64(e.seq)
 	enc.U64(e.nextSeqID)
 	enc.U64(e.lastCommitted)
-	enc.U64(e.pfCancelled)
 	enc.Int(e.predCursor)
 	enc.Bool(e.wrongPath)
 	enc.U64(uint64(e.wrongPC))
@@ -232,7 +230,6 @@ func (e *Engine) Restore(data []byte, workload string, fingerprint uint64) error
 	e.seq = d.U64()
 	e.nextSeqID = d.U64()
 	e.lastCommitted = d.U64()
-	e.pfCancelled = d.U64()
 	e.predCursor = d.Int()
 	e.wrongPath = d.Bool()
 	e.wrongPC = isa.Addr(d.U64())
@@ -242,8 +239,8 @@ func (e *Engine) Restore(data []byte, workload string, fingerprint uint64) error
 	e.recoverEnd = bpred.EndClass(d.U8())
 	e.recoverRet = isa.Addr(d.U64())
 	bpred.LoadRASSnapshot(d, &e.recoverRAS)
-	// Clock-mode diagnostics restart from zero (see Snapshot).
-	e.skipped, e.ffJumps, e.wpProduced = 0, 0, 0
+	// The clock-mode diagnostic restarts from zero (see Snapshot).
+	e.skipped = 0
 
 	n := d.Count(blockMetaRing)
 	if d.Err() == nil && n != blockMetaRing {

@@ -65,7 +65,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			ref := runConfig(t, cfg, w)
 			data := warmSnapshot(t, cfg, w, warmup)
 			got := restoreAndRun(t, cfg, w, data)
-			if !reflect.DeepEqual(got.WithoutTelemetry(), ref.WithoutTelemetry()) {
+			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("restored run diverges from straight-through:\nrestored: %+v\nstraight: %+v", got, ref)
 			}
 			if got.Cycles != ref.Cycles {
@@ -99,7 +99,7 @@ func TestSnapshotCrossModeRestore(t *testing.T) {
 			ref := runConfig(t, m.restore, w)
 			data := warmSnapshot(t, m.record, w, warmup)
 			got := restoreAndRun(t, m.restore, w, data)
-			if !reflect.DeepEqual(got.WithoutTelemetry(), ref.WithoutTelemetry()) {
+			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("cross-mode restored run diverges:\nrestored: %+v\nstraight: %+v", got, ref)
 			}
 		})
@@ -139,7 +139,7 @@ func TestSnapshotRestoreStreamed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("streamed restored run: %v", err)
 	}
-	if !reflect.DeepEqual(got.WithoutTelemetry(), ref.WithoutTelemetry()) {
+	if !reflect.DeepEqual(got, ref) {
 		t.Errorf("streamed restored run diverges from in-memory straight-through:\nrestored: %+v\nstraight: %+v", got, ref)
 	}
 	if wt.MaxResident() > windowCap {

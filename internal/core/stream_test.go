@@ -69,7 +69,7 @@ func TestStreamedEngineMatchesInMemory(t *testing.T) {
 			if err != nil {
 				t.Fatalf("streamed run: %v", err)
 			}
-			if !reflect.DeepEqual(got.WithoutTelemetry(), want.WithoutTelemetry()) {
+			if !reflect.DeepEqual(got, want) {
 				t.Errorf("streamed stats differ from in-memory stats:\nstreamed: %+v\nmemory:   %+v", got, want)
 			}
 			if wt.MaxResident() > windowCap {
@@ -107,7 +107,7 @@ func TestStreamedEngineHonoursMaxInsts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("streamed run: %v", err)
 	}
-	if !reflect.DeepEqual(got.WithoutTelemetry(), want.WithoutTelemetry()) {
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("streamed MaxInsts stats differ from in-memory stats")
 	}
 }

@@ -6,12 +6,11 @@ import (
 	"clgp/internal/cacti"
 )
 
-// TestInstrumentedLoopZeroAlloc is the allocs/op guard for the telemetry
-// instrumentation: the engine's hot-path counters (fast-forward jumps,
-// cancelled prefetches, skipped cycles, wrong-path fetches) are plain
-// single-writer fields, so stepping the instrumented engine — and snapping
-// its telemetry — must not touch the heap at all. The ns/cycle side of the
-// same budget is enforced by the bench gate (sim.Gate, MaxAllocsPerKCycle).
+// TestInstrumentedLoopZeroAlloc is the allocs/op guard for the engine's
+// hot-path counters (skipped cycles, cycle accounts, wrong-path fetches):
+// they are plain single-writer fields, so stepping the engine must not touch
+// the heap at all. The ns/cycle side of the same budget is enforced by the
+// bench gate (sim.Gate, MaxAllocsPerKCycle).
 func TestInstrumentedLoopZeroAlloc(t *testing.T) {
 	w := icacheStressWorkload(t, 400_000, 7)
 	cfg := Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true}
@@ -29,10 +28,6 @@ func TestInstrumentedLoopZeroAlloc(t *testing.T) {
 				exhausted = true
 				return
 			}
-		}
-		snap := eng.TelemetrySnapshot()
-		if snap.Cycles == 0 {
-			t.Error("snapshot of a running engine reports zero cycles")
 		}
 	})
 	if exhausted {

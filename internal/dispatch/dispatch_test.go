@@ -1,11 +1,13 @@
 package dispatch
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -223,6 +225,67 @@ func TestShardResultsRoundTripAndValidation(t *testing.T) {
 	}
 }
 
+// FuzzParseShardResults drives the shard JSONL decoder over mutated bytes
+// against a fixed two-job plan. The invariants: no panic; every accepted
+// batch matches the plan's count, labels and specs; and it survives an
+// encode→parse round trip with identical records. Seeds cover the current
+// record form and the older one whose stats carried a Telemetry block.
+func FuzzParseShardResults(f *testing.F) {
+	sp := ShardPlan{Name: "shard-000-fuzz", Specs: testGrid(f)[:2]}
+	recs := make([]RunRecord, len(sp.Specs))
+	for i, spec := range sp.Specs {
+		recs[i] = RunRecord{
+			Job: spec.Name(), Spec: spec, WallSeconds: 0.0125,
+			Stats: &stats.Results{
+				Name: spec.Name(), Cycles: 65051, Committed: 20000, Fetched: 25962,
+				FetchSources:  stats.Distribution{0, 0, 2234, 901, 20},
+				CycleAccounts: stats.CycleAccounts{5534, 871, 18183, 4873, 532, 0, 35058},
+			},
+		}
+	}
+	data, err := encodeShardResults(sp, recs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	legacy := withParentTelemetry(f, data)
+	if _, err := parseShardResults(sp, legacy); err != nil {
+		f.Fatalf("older record form rejected: %v", err)
+	}
+	f.Add(legacy)
+	recs[1].Err, recs[1].Stats = "boom", nil
+	if data, err = encodeShardResults(sp, recs); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := parseShardResults(sp, data)
+		if err != nil {
+			return
+		}
+		if len(recs) != len(sp.Specs) {
+			t.Fatalf("accepted %d records for a %d-job plan", len(recs), len(sp.Specs))
+		}
+		for i, rec := range recs {
+			if rec.Job != sp.Specs[i].Name() || rec.Spec != sp.Specs[i] {
+				t.Fatalf("record %d accepted as %q %+v, plan has %q %+v", i, rec.Job, rec.Spec, sp.Specs[i].Name(), sp.Specs[i])
+			}
+		}
+		enc, err := encodeShardResults(sp, recs)
+		if err != nil {
+			t.Fatalf("re-encoding accepted records: %v", err)
+		}
+		back, err := parseShardResults(sp, enc)
+		if err != nil {
+			t.Fatalf("parsing re-encoded records: %v", err)
+		}
+		if !reflect.DeepEqual(back, recs) {
+			t.Fatalf("round trip changed the records:\n got %+v\nwant %+v", back, recs)
+		}
+	})
+}
+
 // statsKey reduces a result to the deterministic fields compared across
 // execution strategies.
 type statsKey struct {
@@ -398,6 +461,73 @@ func TestInterruptedSweepResumesAndMatchesSingleProcess(t *testing.T) {
 		t.Errorf("legacy resume skipped %v, want %v", out3.Skipped, want)
 	}
 	checkAgainstBaseline(t, baseline, out3)
+
+	// A checkpoint written by a build whose stats.Results still carried the
+	// engine's "Telemetry" block must load (unknown fields are ignored),
+	// resume, and merge to records identical to a fresh sweep.
+	telDir := t.TempDir()
+	tm, err := NewManifest(specs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteManifest(telDir, tm); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err = RunShard(tm, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = encodeShardResults(tm.Shards[0], recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(telDir, ShardsDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shardFilePath(telDir, tm.Shards[0]), withParentTelemetry(t, data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out4, err := (&Orchestrator{Dir: telDir, Workers: 2}).Run(specs, 4, true)
+	if err != nil {
+		t.Fatalf("resume from a shard with a Telemetry block: %v", err)
+	}
+	if got, want := fmt.Sprint(out4.Skipped), fmt.Sprint([]int{0}); got != want {
+		t.Errorf("telemetry-shard resume skipped %v, want %v", out4.Skipped, want)
+	}
+	fresh, err := (&Orchestrator{Dir: t.TempDir(), Workers: 2}).Run(specs, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out4.Records) != len(fresh.Records) {
+		t.Fatalf("telemetry-shard resume merged %d records, fresh sweep %d", len(out4.Records), len(fresh.Records))
+	}
+	for i, rec := range out4.Records {
+		want := fresh.Records[i]
+		rec.WallSeconds, want.WallSeconds = 0, 0
+		if !reflect.DeepEqual(rec, want) {
+			t.Errorf("record %d (%s) differs from a fresh sweep:\n got %+v\nwant %+v", i, rec.Job, rec.Stats, want.Stats)
+		}
+	}
+}
+
+// parentTelemetry is the stats "Telemetry" block as builds before its
+// removal wrote it into every shard record.
+const parentTelemetry = `{"cycles":65051,"skipped_cycles":50434,"fast_forwards":1850,"wrong_path_produced":271,"wrong_path_fetched":5962,"prefetches_issued":0,"prefetches_cancelled":0}`
+
+// withParentTelemetry rewrites shard JSONL into the older on-store form,
+// byte for byte: stats is the last field of a record and Telemetry was the
+// last field of stats, so the block goes right before each line's "}}".
+func withParentTelemetry(t testing.TB, data []byte) []byte {
+	t.Helper()
+	var out []byte
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if body, ok := bytes.CutSuffix(line, []byte("}}\n")); ok && bytes.Contains(body, []byte(`"stats":{`)) {
+			line = append(body[:len(body):len(body)], `,"Telemetry":`+parentTelemetry+"}}\n"...)
+		}
+		out = append(out, line...)
+	}
+	if !bytes.Contains(out, []byte(`"Telemetry":{"cycles"`)) {
+		t.Fatal("no record carries stats to attach a Telemetry block to")
+	}
+	return out
 }
 
 func shardMtime(t *testing.T, dir string, sp ShardPlan) time.Time {

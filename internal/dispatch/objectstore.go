@@ -384,16 +384,12 @@ func (s *ObjectStore) FetchSnapshot(key string) ([]byte, error) {
 	return s.get(SnapshotObjectKey(key))
 }
 
-// PushSnapshot implements Store. Like PushTrace, the existence probe is an
-// optimisation: snapshot keys are content-addressed, so an artifact that is
-// already there is byte-identical to ours and the upload can be skipped; on
-// "could not check" it simply uploads.
+// PushSnapshot implements Store. It always uploads: the warm flow pushes only
+// after a miss, and a miss includes an artifact under the key that Restore
+// rejected (an older snapshot version, or damaged bytes), which the upload
+// must replace.
 func (s *ObjectStore) PushSnapshot(key string, data []byte) error {
-	objKey := SnapshotObjectKey(key)
-	if exists, err := s.head(objKey); err == nil && exists {
-		return nil
-	}
-	return s.put(objKey, data)
+	return s.put(SnapshotObjectKey(key), data)
 }
 
 // PushTrace implements Store: it publishes a local container under its

@@ -210,7 +210,7 @@ func TestReplicationDeterminismAcrossModes(t *testing.T) {
 			if rec.Err != "" {
 				t.Fatalf("job %s failed: %s", rec.Job, rec.Err)
 			}
-			got[rec.Job] = rec.Stats.WithoutTelemetry()
+			got[rec.Job] = *rec.Stats
 		}
 		if len(got) != len(specs) {
 			t.Fatalf("merged %d jobs, want %d", len(got), len(specs))

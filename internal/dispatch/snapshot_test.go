@@ -1,14 +1,21 @@
 package dispatch
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"clgp/internal/core"
 	"clgp/internal/sim"
+	"clgp/internal/snap"
 	"clgp/internal/workload"
 )
 
@@ -75,6 +82,89 @@ func TestStoreSnapshotRoundtrip(t *testing.T) {
 	// Store satisfies sim.SnapshotStore by construction; keep that pinned at
 	// compile time so the sim-side interface cannot drift away.
 	var _ sim.SnapshotStore = stores["dir"]
+}
+
+// TestObjectStoreReplacesStaleSnapshot seeds a warm job's key with an
+// artifact the current build rejects: a valid snapshot re-sealed under the
+// next container version, as a store shared across builds accumulates. The
+// first run must fall back to warm-up and replace the artifact, so the
+// second restores from it without recording or uploading again.
+func TestObjectStoreReplacesStaleSnapshot(t *testing.T) {
+	srv, err := NewStoreServer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var puts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut {
+			puts.Add(1)
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	st := NewObjectStore(ts.URL)
+	st.CacheDir = t.TempDir()
+
+	spec := warmGrid(t)[0]
+	w, err := newWorkloadCache(nil).get(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := spec.SimJob(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := workload.Fingerprint(w.Profile, w.Dict)
+	eng, err := core.NewEngine(job.Config, w.Dict, w.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunUntilCommitted(uint64(spec.Warmup)); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := eng.Snapshot(w.Name, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(stale[4:], snap.Version+1)
+	body := stale[:len(stale)-4]
+	binary.LittleEndian.PutUint32(stale[len(stale)-4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	key := expectedSnapshotKey(t, spec)
+	if err := st.PushSnapshot(key, stale); err != nil {
+		t.Fatal(err)
+	}
+
+	plain := sim.Runner{Workers: 1}.Run([]sim.Job{job})[0]
+	job.Snapshots = st
+	for run := 1; run <= 2; run++ {
+		before := puts.Load()
+		r := sim.Runner{Workers: 1}.Run([]sim.Job{job})[0]
+		if r.Err != nil {
+			t.Fatalf("run %d: %v", run, r.Err)
+		}
+		if !reflect.DeepEqual(r.Stats, plain.Stats) {
+			t.Errorf("run %d diverged from the plain run", run)
+		}
+		data, err := st.FetchSnapshot(key)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		fresh, err := core.NewEngine(job.Config, w.Dict, w.Trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Restore(data, w.Name, fp); err != nil {
+			t.Fatalf("after run %d the store still holds an artifact Restore rejects: %v", run, err)
+		}
+		// Only the first run records (replacing the stale artifact).
+		want := int64(0)
+		if run == 1 {
+			want = 1
+		}
+		if got := puts.Load() - before; got != want {
+			t.Errorf("run %d uploaded %d times, want %d", run, got, want)
+		}
+	}
 }
 
 // TestWarmSweepMatchesBaseline is the dispatch-level acceptance property: a

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"clgp/internal/sim"
 )
 
 // Store is the checkpoint and artifact backend of a sweep: everything the
@@ -215,37 +217,18 @@ func (s *DirStore) PushTrace(localPath string) error { return nil }
 // snapshot artifacts live under.
 const SnapshotsDir = "snapshots"
 
-// FetchSnapshot implements Store (and sim.SnapshotStore): a plain read from
-// the sweep's snapshots directory; os.ReadFile's not-exist error is the miss
-// signal the contract asks for.
+// FetchSnapshot implements Store (and sim.SnapshotStore) by delegating to a
+// sim.DirSnapshots over the sweep's snapshots directory; os.ReadFile's
+// not-exist error is the miss signal the contract asks for.
 func (s *DirStore) FetchSnapshot(key string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(s.Dir, SnapshotsDir, key))
+	return sim.DirSnapshots{Dir: filepath.Join(s.Dir, SnapshotsDir)}.FetchSnapshot(key)
 }
 
-// PushSnapshot implements Store: temp + rename, like every other DirStore
-// commit, so a concurrently fetching worker never sees a torn artifact.
+// PushSnapshot implements Store by delegating to a sim.DirSnapshots: temp +
+// rename, like every other DirStore commit, so a concurrently fetching
+// worker never sees a torn artifact.
 func (s *DirStore) PushSnapshot(key string, data []byte) error {
-	dir := filepath.Join(s.Dir, SnapshotsDir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dispatch: creating snapshots directory: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, key+".tmp*")
-	if err != nil {
-		return fmt.Errorf("dispatch: writing snapshot %s: %w", key, err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("dispatch: writing snapshot %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("dispatch: writing snapshot %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, key)); err != nil {
-		return fmt.Errorf("dispatch: committing snapshot %s: %w", key, err)
-	}
-	return nil
+	return sim.DirSnapshots{Dir: filepath.Join(s.Dir, SnapshotsDir)}.PushSnapshot(key, data)
 }
 
 // OpenStore resolves a -store flag value to a backend: http(s) URLs open an

@@ -78,7 +78,7 @@ func TestShardStreamsFromSharedTraceFile(t *testing.T) {
 		if memRecs[i].Job != streamRecs[i].Job {
 			t.Fatalf("record %d is job %s streamed vs %s in-memory", i, streamRecs[i].Job, memRecs[i].Job)
 		}
-		if !reflect.DeepEqual(memRecs[i].Stats.WithoutTelemetry(), streamRecs[i].Stats.WithoutTelemetry()) {
+		if !reflect.DeepEqual(memRecs[i].Stats, streamRecs[i].Stats) {
 			t.Errorf("job %s: streamed stats differ from regenerated stats", memRecs[i].Job)
 		}
 	}

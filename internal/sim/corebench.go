@@ -271,7 +271,7 @@ func MeasureSnapshotGrid(profile string, insts int, seed int64) (*GridSnapshotRe
 			if r.Err != nil {
 				return fmt.Errorf("snapshot grid %s: %s pass: %w", plainJobs[i].Name, pass, r.Err)
 			}
-			if !reflect.DeepEqual(r.Stats.WithoutTelemetry(), plain[i].Stats.WithoutTelemetry()) {
+			if !reflect.DeepEqual(r.Stats, plain[i].Stats) {
 				return fmt.Errorf("snapshot grid %s: %s pass diverges from the plain run — equivalence broken",
 					plainJobs[i].Name, pass)
 			}

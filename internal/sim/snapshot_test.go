@@ -65,7 +65,7 @@ func TestWarmRunsBitIdentical(t *testing.T) {
 	if cold.Err != nil {
 		t.Fatalf("cold recording run: %v", cold.Err)
 	}
-	if !reflect.DeepEqual(cold.Stats.WithoutTelemetry(), plain.Stats.WithoutTelemetry()) {
+	if !reflect.DeepEqual(cold.Stats, plain.Stats) {
 		t.Errorf("recording run diverged from plain run:\ncold:  %+v\nplain: %+v", cold.Stats, plain.Stats)
 	}
 	key := SnapshotKey(jobFingerprint(t, job), cfg.WarmKey(), warmup)
@@ -77,7 +77,7 @@ func TestWarmRunsBitIdentical(t *testing.T) {
 	if warm.Err != nil {
 		t.Fatalf("warm restored run: %v", warm.Err)
 	}
-	if !reflect.DeepEqual(warm.Stats.WithoutTelemetry(), plain.Stats.WithoutTelemetry()) {
+	if !reflect.DeepEqual(warm.Stats, plain.Stats) {
 		t.Errorf("restored run diverged from plain run:\nwarm:  %+v\nplain: %+v", warm.Stats, plain.Stats)
 	}
 }
@@ -106,9 +106,9 @@ func TestWarmSharedAcrossClockModes(t *testing.T) {
 		if got[i].Err != nil {
 			t.Fatalf("job %d: %v", i, got[i].Err)
 		}
-		want := plain[i].Stats.WithoutTelemetry()
+		want := *plain[i].Stats
 		want.Name = got[i].Stats.Name
-		have := got[i].Stats.WithoutTelemetry()
+		have := *got[i].Stats
 		have.Name = want.Name
 		if !reflect.DeepEqual(have, want) {
 			t.Errorf("job %d diverged from its plain run", i)
@@ -161,7 +161,7 @@ func TestWarmSurvivesDamagedArtifact(t *testing.T) {
 	if r.Err != nil {
 		t.Fatalf("run over damaged artifact: %v", r.Err)
 	}
-	if !reflect.DeepEqual(r.Stats.WithoutTelemetry(), plain.Stats.WithoutTelemetry()) {
+	if !reflect.DeepEqual(r.Stats, plain.Stats) {
 		t.Error("run over damaged artifact diverged from plain run")
 	}
 	data, err := store.FetchSnapshot(key)

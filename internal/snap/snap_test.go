@@ -88,15 +88,30 @@ func TestOpenRejectsEveryByteFlip(t *testing.T) {
 	}
 }
 
+// resealed returns the test container re-sealed under version v with a
+// recomputed (valid) checksum.
+func resealed(v uint32) []byte {
+	data := append([]byte(nil), testContainer()...)
+	binary.LittleEndian.PutUint32(data[4:], v)
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.Checksum(body, castagnoliTable))
+	return data
+}
+
 // TestOpenRejectsFutureVersion re-seals a container with a bumped version and
 // a recomputed (valid) checksum: the version pin must still reject it.
 func TestOpenRejectsFutureVersion(t *testing.T) {
-	data := append([]byte(nil), testContainer()...)
-	binary.LittleEndian.PutUint32(data[4:], Version+1)
-	body := data[:len(data)-4]
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.Checksum(body, castagnoliTable))
-	if _, _, err := Open(data); !errors.Is(err, ErrBadVersion) {
+	if _, _, err := Open(resealed(Version + 1)); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("future version: got %v, want ErrBadVersion", err)
+	}
+}
+
+// TestOpenRejectsVersion1 pins that no cross-version read path exists: a
+// well-formed version-1 container (whose engine section still carried the
+// cancelled-prefetch counter) is rejected, not decoded out of phase.
+func TestOpenRejectsVersion1(t *testing.T) {
+	if _, _, err := Open(resealed(1)); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("version 1: got %v, want ErrBadVersion", err)
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"clgp/internal/telemetry"
 )
 
 // Source identifies which storage level served a fetch or prefetch request.
@@ -248,27 +246,16 @@ type Results struct {
 	BusConflicts uint64
 
 	// CycleAccounts charges every simulated cycle to exactly one leading
-	// cause. Unlike Telemetry it is an architectural result: it is
-	// bit-identical across clock modes and trace backings (the equivalence
-	// tests compare it), sums under Merge, and survives WithoutTelemetry.
+	// cause. Like every field above it is bit-identical across clock modes
+	// and trace backings (the equivalence tests compare it) and sums under
+	// Merge.
 	CycleAccounts CycleAccounts
-
-	// Telemetry carries the engine's simulator-speed and instrumentation
-	// counters (skipped cycles, fast-forward jumps, prefetch cancels,
-	// window residency). Unlike every field above it is mode-dependent —
-	// the clock mode and trace backing change it while the architectural
-	// results stay bit-identical — so cross-mode equivalence checks must
-	// compare WithoutTelemetry(). Merge drops it for the same reason.
-	Telemetry *telemetry.Snapshot `json:"Telemetry,omitempty"`
 }
 
-// WithoutTelemetry returns a copy of r with the mode-dependent Telemetry
-// block stripped, for bit-identity comparisons across clock modes, trace
-// backings, and snapshot-restored runs.
-func (r Results) WithoutTelemetry() Results {
-	r.Telemetry = nil
-	return r
-}
+// WithoutTelemetry returns r unchanged. Results holds only architectural
+// results, so equality checks compare it directly; the method remains
+// because perfbench/measure.go, a separate module, still calls it.
+func (r Results) WithoutTelemetry() Results { return r }
 
 // IPC returns committed instructions per cycle.
 func (r *Results) IPC() float64 {
@@ -347,10 +334,6 @@ func (r *Results) Merge(other *Results) {
 	r.PrefetchesUseful += other.PrefetchesUseful
 	r.BusConflicts += other.BusConflicts
 	r.CycleAccounts.Merge(other.CycleAccounts)
-	// Telemetry is per-run (mode-dependent high-water marks don't sum
-	// meaningfully across configs); aggregation happens at the sweep level
-	// via telemetry.Snapshot.Merge instead.
-	r.Telemetry = nil
 }
 
 // Speedup returns the relative speedup of new over old in terms of IPC:

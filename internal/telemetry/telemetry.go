@@ -1,9 +1,9 @@
 // Package telemetry is the observability spine of the simulator: a small,
 // dependency-free metrics core (atomic counters, gauges and fixed-bucket
-// histograms behind a labeled registry), a per-run engine Snapshot folded
-// into stats.Results, a host-utilisation sampler attached to BENCH records,
-// and the Prometheus-text /metrics + /debug/pprof HTTP surface that
-// `clgpsim store serve` and `clgpsim worker -metrics-addr` expose.
+// histograms behind a labeled registry), a host-utilisation sampler attached
+// to BENCH records, and the Prometheus-text /metrics + /debug/pprof HTTP
+// surface that `clgpsim store serve` and `clgpsim worker -metrics-addr`
+// expose.
 //
 // The hot-path contract mirrors the engine's: Counter.Add, Gauge.Set and
 // Histogram.Observe are single atomic operations with zero allocations, so

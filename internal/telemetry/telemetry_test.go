@@ -213,17 +213,6 @@ func httpGet(url string) (string, error) {
 	return string(b), err
 }
 
-func TestSnapshotMerge(t *testing.T) {
-	a := Snapshot{Cycles: 10, SkippedCycles: 4, FastForwards: 2, WindowMaxResident: 5, WindowCap: 8, WindowSourceReads: 100}
-	a.Merge(Snapshot{Cycles: 7, SkippedCycles: 1, FastForwards: 1, PrefetchesIssued: 3, WindowMaxResident: 9, WindowCap: 8, WindowSourceReads: 50})
-	if a.Cycles != 17 || a.SkippedCycles != 5 || a.FastForwards != 3 || a.PrefetchesIssued != 3 {
-		t.Fatalf("merged counters wrong: %+v", a)
-	}
-	if a.WindowMaxResident != 9 || a.WindowCap != 8 || a.WindowSourceReads != 150 {
-		t.Fatalf("merged window fields wrong: %+v", a)
-	}
-}
-
 func TestHostSampler(t *testing.T) {
 	s := ReadHostSample()
 	if s.GOMAXPROCS < 1 || s.NumGoroutine < 1 || s.UnixMillis == 0 {
