@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race vet bench bench-smoke bench-gate run sweep figures stream-smoke remote-smoke snapshot-smoke clean
+.PHONY: all build test test-race vet bench bench-smoke bench-gate bench-ab run sweep figures stream-smoke remote-smoke snapshot-smoke clean
 
 all: vet build test
 
@@ -26,16 +26,21 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 100x -benchmem ./...
 
-# The cycle-engine perf gate: re-measure every (profile x engine) grid point
-# in both clock modes and compare against the committed BENCH_core.json —
-# calibration-scaled ns/cycle must stay within 10% (+ a small absolute noise
-# floor), the event-horizon speedup must hold on the miss-heavy profiles, no
-# profile may be slower than the per-cycle path, and the loop must not
-# allocate. The grid_snapshot record is re-measured too: restoring a warm
-# checkpoint must beat re-simulating warm-up by the snapshot floor.
-# Mirrors CI's bench-gate job.
+# The in-process speed floors: every (profile x engine) grid point in both
+# clock modes, where the event-horizon speedup must hold on mcf, no profile
+# may be slower than the per-cycle path and the loop must not allocate, plus
+# warm-snapshot restore against cold warm-up. Each floor is a ratio of two
+# paths timed in one process, so it holds on any host. Mirrors CI's
+# bench-floors job.
 bench-gate:
-	$(GO) run ./cmd/clgpsim bench -grid=false -core-json BENCH_core.fresh.json -gate BENCH_core.json -max-regress 0.10
+	$(GO) run ./cmd/clgpsim bench
+
+# The paired A/B over the repo benchmark (perfbench/): BASE against the
+# working tree, 10 alternating pairs per workload, gated on the bounds in
+# BENCHMARK.json; writes BENCH_ab.json. Mirrors CI's bench-ab job.
+BASE ?= $(shell git merge-base main HEAD)
+bench-ab:
+	$(GO) run ./cmd/benchab $(BASE)
 
 run:
 	$(GO) run ./cmd/clgpsim run -profile gcc -insts 200000 -engine clgp -l1 2048 -l0
@@ -58,7 +63,6 @@ stream-smoke:
 	grep -v "wall time" /tmp/clgp-smoke-mem-full.txt > /tmp/clgp-smoke-mem.txt
 	grep -v -e "wall time" -e "trace window" /tmp/clgp-smoke-str-full.txt > /tmp/clgp-smoke-str.txt
 	diff /tmp/clgp-smoke-mem.txt /tmp/clgp-smoke-str.txt
-	$(GO) run ./cmd/clgpsim trace bench -profile gzip -insts 100000 -json BENCH_tracefile.json
 
 # The multi-host dispatch protocol on one machine: an HTTP object store,
 # child workers pointed at the URL, merged figures diffed against the
@@ -95,5 +99,5 @@ snapshot-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f $(filter-out BENCH_core.json,$(wildcard BENCH_*.json))
+	rm -f $(filter-out BENCH_ab.json,$(wildcard BENCH_*.json))
 	rm -rf clgp-figures

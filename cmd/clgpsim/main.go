@@ -1,16 +1,16 @@
 // Command clgpsim drives the CLGP simulator: it runs single configurations,
 // sweeps the paper's (engine × technology × L1 size) grids in parallel, and
-// benchmarks the simulator's own throughput.
+// checks the simulator's in-process speed floors.
 //
 // Usage:
 //
 //	clgpsim run     [-profile gcc] [-insts 200000] [-engine clgp] [-tech 90] [-l1 2048] [-l0] [-pb 0] [-tracefile F -window N] [-no-skip] [-warmup N -snapshot-dir D] [-cpuprofile F] [-memprofile F] [-runtime-trace F]
 //	clgpsim sweep   [-profile gcc] [-insts 200000] [-seeds N] [-tech 90] [-workers 0] [-json BENCH_sweep.json] [-tracefile F -window N] [-store URL] [-warmup N [-snapshot-dir D]] [-cpuprofile F] [-memprofile F] [-metrics-addr A [-metrics-addr-file F]]
-//	clgpsim bench   [-profile gcc] [-insts 100000] [-workers 0] [-json BENCH_clgpsim.json] [-grid=t|f] [-core-json BENCH_core.json] [-core-insts 200000] [-gate BASELINE.json] [-max-regress 0.10]
+//	clgpsim bench
 //	clgpsim figures [-insts 200000] [-seeds N] [-techs 90,45] [-profiles ...] [-dir clgp-figures] [-shards 0] [-exec] [-resume] [-store URL] [-ssh h1,h2] [-retries 1] [-warmup N] [-paper-ref refs/paper_ref.json] [-write-ref F] [-progress] [-stall-after D] [-trace-out F] [-metrics-addr A [-metrics-addr-file F]]
 //	clgpsim worker  -store LOC -shard N [-workers 0] [-heartbeat 2s] [-metrics-addr A [-metrics-addr-file F]] [-span-parent ID] [-runtime-trace F]
 //	clgpsim store   serve [-dir clgp-store] [-addr 127.0.0.1:8420] [-addr-file F]
-//	clgpsim trace   record|info|slice|bench ...
+//	clgpsim trace   record|info|slice ...
 //
 // Every subcommand also takes -log-level (debug|info|warn|error) and
 // -log-format (text|json); structured logs go to stderr.
@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
@@ -78,11 +77,11 @@ func usage() {
 commands:
   run      simulate one configuration and print its statistics
   sweep    run an (engine x L1 size) grid in parallel and print the IPC table
-  bench    measure simulator throughput (serial vs parallel) and emit BENCH json
+  bench    check the in-process speed floors (skip vs per-cycle clock, allocations, snapshot restore)
   figures  run/resume the sharded full-paper grid, emit Figure 1/6/7/8 series (mean±CI with -seeds) and gate them against a paper reference table
   worker   execute one shard of a sweep store (spawned by figures -exec / -ssh)
   store    serve a sweep object store over HTTP for multi-host dispatch
-  trace    record/inspect/slice on-disk trace containers and bench trace I/O
+  trace    record/inspect/slice on-disk trace containers
 `)
 }
 
@@ -484,18 +483,13 @@ func cmdSweep(args []string) error {
 	return nil
 }
 
+// cmdBench checks the floors measured inside one process: the event-horizon
+// clock against the per-cycle path on every (profile × engine) point, the
+// hot loop's allocations, and warm-snapshot restore against cold warm-up.
+// Host speed cancels out of every ratio; speed across builds is the job of
+// the paired A/B over perfbench (cmd/benchab).
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	profile := fs.String("profile", "gcc", "workload profile")
-	insts := fs.Int("insts", 100_000, "trace length in instructions")
-	seed := fs.Int64("seed", 1, "workload generation seed")
-	workers := fs.Int("workers", 0, "parallel worker pool size (0 = GOMAXPROCS)")
-	jsonPath := fs.String("json", "BENCH_clgpsim.json", "BENCH output path (empty = skip)")
-	grid := fs.Bool("grid", true, "run the sweep-grid throughput benches (serial/parallel/streamed)")
-	coreJSON := fs.String("core-json", "BENCH_core.json", "per-engine hot-loop BENCH output path (empty = skip the core bench)")
-	coreInsts := fs.Int("core-insts", 200_000, "trace length for the core engine bench")
-	gatePath := fs.String("gate", "", "gate the core bench against this committed BENCH_core.json baseline (non-zero exit on regression)")
-	maxRegress := fs.Float64("max-regress", 0.10, "tolerated ns/cycle growth over the calibrated baseline when gating")
 	logSetup := logFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -503,155 +497,28 @@ func cmdBench(args []string) error {
 	if _, err := logSetup(); err != nil {
 		return err
 	}
-	if *grid {
-		if err := benchGrid(*profile, *insts, *seed, *workers, *jsonPath); err != nil {
-			return err
-		}
-	}
-	if *coreJSON == "" && *gatePath == "" {
-		return nil
-	}
+	const insts, seed, snapProfile = 200_000, 1, "gcc"
 	fmt.Printf("core engine bench: %s x %d engines, %d insts (skip vs no-skip)\n",
-		strings.Join(sim.CoreBenchProfiles, "/"), len(sim.CoreBenchEngines), *coreInsts)
-	cb, err := sim.MeasureCore(nil, nil, *coreInsts, *seed)
+		strings.Join(sim.CoreBenchProfiles, "/"), len(sim.CoreBenchEngines), insts)
+	cb, err := sim.MeasureCore(nil, nil, insts, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("snapshot grid bench: %d-point %s grid, %d insts (warm-restore vs cold, warm-up at half)\n",
-		8, *profile, *coreInsts)
-	cb.GridSnapshot, err = sim.MeasureSnapshotGrid(*profile, *coreInsts, *seed)
+	fmt.Print(sim.FormatCoreComparison(cb))
+	fmt.Printf("snapshot grid bench: %s grid, %d insts (warm-restore vs cold, warm-up at half)\n", snapProfile, insts)
+	cb.GridSnapshot, err = sim.MeasureSnapshotGrid(snapProfile, insts, seed)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("grid_snapshot: %d points: %12.0f cycles/sec warm vs %12.0f cold (%.2fx), %d artifact bytes\n",
 		cb.GridSnapshot.Points, cb.GridSnapshot.WarmCyclesPerSec, cb.GridSnapshot.ColdCyclesPerSec,
 		cb.GridSnapshot.SpeedupVsCold, cb.GridSnapshot.SnapshotBytes)
-	var baseline *sim.CoreBench
-	if *gatePath != "" {
-		baseline, err = sim.LoadCoreBench(*gatePath)
-		if err != nil {
-			return fmt.Errorf("loading gate baseline: %w", err)
+	if bad := sim.Gate(cb); len(bad) > 0 {
+		for _, p := range bad {
+			fmt.Fprintf(os.Stderr, "bench: %s\n", p)
 		}
+		return fmt.Errorf("bench: %d floor violation(s)", len(bad))
 	}
-	fmt.Print(sim.FormatCoreComparison(baseline, cb))
-	if *coreJSON != "" {
-		if err := sim.WriteCoreBench(*coreJSON, cb); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *coreJSON)
-	}
-	if baseline != nil {
-		lim := sim.DefaultGateLimits()
-		lim.MaxRegress = *maxRegress
-		if bad := sim.Gate(baseline, cb, lim); len(bad) > 0 {
-			for _, p := range bad {
-				fmt.Fprintf(os.Stderr, "bench gate: %s\n", p)
-			}
-			return fmt.Errorf("bench gate: %d violation(s) against %s", len(bad), *gatePath)
-		}
-		fmt.Printf("bench gate: pass (%d grid points within %.0f%% of %s)\n",
-			len(cb.Records), 100**maxRegress, *gatePath)
-	}
+	fmt.Printf("bench: pass (%d grid points and the snapshot grid within their floors)\n", len(cb.Records))
 	return nil
-}
-
-// benchGrid is the original sweep-throughput benchmark: the 16-config grid
-// serial, parallel and streamed from a recorded container.
-func benchGrid(profile string, insts int, seed int64, workers int, jsonPath string) error {
-	w, err := loadWorkload(profile, insts, seed)
-	if err != nil {
-		return err
-	}
-	jobs := sim.SweepJobs(w, cacti.Tech90,
-		[]int{1 << 10, 2 << 10, 4 << 10, 8 << 10},
-		[]core.EngineKind{core.EngineNone, core.EngineNextN, core.EngineFDP, core.EngineCLGP},
-		false, 0)
-	fmt.Printf("benchmarking %d-config grid over %s (%d insts)\n", len(jobs), w.Name, insts)
-
-	// Each phase is sampled separately so its BENCH record states what the
-	// measured throughput cost in CPU and memory on this host.
-	sampler := telemetry.StartSampler(0)
-	start := time.Now()
-	serialRes := sim.Runner{Workers: 1}.Run(jobs)
-	serialWall := time.Since(start)
-	serialUsage := sampler.Stop()
-	serialSum := sim.Summarise(serialRes, serialWall)
-	fmt.Printf("serial:   %8v  %12.0f cycles/sec  %6.2f sims/sec\n",
-		serialWall.Round(time.Millisecond), serialSum.CyclesPerSec(), serialSum.SimsPerSec())
-
-	runner := sim.Runner{Workers: workers}
-	sampler = telemetry.StartSampler(0)
-	start = time.Now()
-	parRes := runner.Run(jobs)
-	parWall := time.Since(start)
-	parUsage := sampler.Stop()
-	parSum := sim.Summarise(parRes, parWall)
-	speedup := serialWall.Seconds() / parWall.Seconds()
-	fmt.Printf("parallel: %8v  %12.0f cycles/sec  %6.2f sims/sec  (%d workers, %.2fx vs serial)\n",
-		parWall.Round(time.Millisecond), parSum.CyclesPerSec(), parSum.SimsPerSec(),
-		runner.EffectiveWorkers(), speedup)
-	if runtime.GOMAXPROCS(0) == 1 {
-		fmt.Println("note: GOMAXPROCS=1 — parallel speedup needs a multi-core machine")
-	}
-
-	// The same grid streamed from a recorded container instead of the
-	// in-memory trace: the perf trajectory of the trace-I/O path.
-	sampler = telemetry.StartSampler(0)
-	streamSum, err := benchStreamedGrid(w, seed, insts, jobs, runner)
-	streamUsage := sampler.Stop()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("streamed: %8v  %12.0f cycles/sec  %6.2f sims/sec  (%d workers, windowed trace file)\n",
-		streamSum.Wall.Round(time.Millisecond), streamSum.CyclesPerSec(), streamSum.SimsPerSec(),
-		runner.EffectiveWorkers())
-
-	for i := range jobs {
-		if serialRes[i].Err != nil || parRes[i].Err != nil {
-			return fmt.Errorf("job %s failed: %v %v", jobs[i].Name, serialRes[i].Err, parRes[i].Err)
-		}
-	}
-
-	if jsonPath != "" {
-		serialRec := sim.RecordFromSummary("grid-serial", 1, serialSum)
-		serialRec.Host = &serialUsage
-		parRec := sim.RecordFromSummary("grid-parallel", runner.EffectiveWorkers(), parSum)
-		parRec.SpeedupVsSerial = speedup
-		parRec.Host = &parUsage
-		streamRec := sim.RecordFromSummary("grid-streamed", runner.EffectiveWorkers(), streamSum)
-		streamRec.Host = &streamUsage
-		if err := sim.WriteBenchJSON(jsonPath, []sim.BenchRecord{serialRec, parRec, streamRec}); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	return nil
-}
-
-// benchStreamedGrid re-runs the bench grid with every job streaming its
-// trace from a freshly recorded container through the default window.
-func benchStreamedGrid(w *workload.Workload, seed int64, insts int, jobs []sim.Job, runner sim.Runner) (sim.Summary, error) {
-	dir, err := os.MkdirTemp("", "clgp-bench-stream")
-	if err != nil {
-		return sim.Summary{}, err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, w.Name+".clgt")
-	if _, err := sim.RecordTrace(w.Profile, insts, seed, path, 0); err != nil {
-		return sim.Summary{}, err
-	}
-	streamed := make([]sim.Job, len(jobs))
-	for i, j := range jobs {
-		j.TraceFile = path
-		streamed[i] = j
-	}
-	start := time.Now()
-	res := runner.Run(streamed)
-	wall := time.Since(start)
-	for i := range streamed {
-		if res[i].Err != nil {
-			return sim.Summary{}, fmt.Errorf("streamed job %s failed: %v", streamed[i].Name, res[i].Err)
-		}
-	}
-	return sim.Summarise(res, wall), nil
 }

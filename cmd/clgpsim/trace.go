@@ -4,10 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
-	"clgp/internal/core"
 	"clgp/internal/sim"
 	"clgp/internal/trace"
 	"clgp/internal/tracefile"
@@ -15,8 +13,8 @@ import (
 )
 
 // cmdTrace dispatches the trace-container subcommands: record a workload's
-// committed trace to disk, inspect a container, extract a SimPoint-style
-// slice, and benchmark the trace I/O path.
+// committed trace to disk, inspect a container, and extract a SimPoint-style
+// slice.
 func cmdTrace(args []string) error {
 	if len(args) < 1 {
 		traceUsage()
@@ -29,8 +27,6 @@ func cmdTrace(args []string) error {
 		return cmdTraceInfo(args[1:])
 	case "slice":
 		return cmdTraceSlice(args[1:])
-	case "bench":
-		return cmdTraceBench(args[1:])
 	default:
 		traceUsage()
 		return fmt.Errorf("unknown trace subcommand %q", args[0])
@@ -44,7 +40,6 @@ subcommands:
   record   walk a workload profile and stream its committed trace to a container
   info     print a container's header and chunk index
   slice    extract a record range into a new container (SimPoint interval extraction)
-  bench    measure encode/decode/streamed-engine throughput and emit BENCH json
 `)
 }
 
@@ -207,121 +202,5 @@ func cmdTraceSlice(args []string) error {
 		return err
 	}
 	fmt.Printf("sliced records [%d,%d) of %s into %s\n", lo, hi, fs.Arg(0), *out)
-	return nil
-}
-
-func cmdTraceBench(args []string) error {
-	fs := flag.NewFlagSet("trace bench", flag.ExitOnError)
-	profile := fs.String("profile", "gcc", "workload profile")
-	insts := fs.Int("insts", 500_000, "trace length in instructions")
-	seed := fs.Int64("seed", 1, "workload generation seed")
-	window := fs.Int("window", 0, "streamed-run window cap in records (0 = default)")
-	engine := fs.String("engine", "clgp", "engine for the streamed run")
-	jsonPath := fs.String("json", "BENCH_tracefile.json", "BENCH output path (empty = skip)")
-	logSetup := logFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if _, err := logSetup(); err != nil {
-		return err
-	}
-	p, err := workload.ProfileByName(*profile)
-	if err != nil {
-		return err
-	}
-	ek, err := core.ParseEngineKind(*engine)
-	if err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "clgp-trace-bench")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, p.Name+".clgt")
-
-	// Encode: workload walk streaming straight to the container, recorded
-	// exactly as production containers are (fingerprint included), so the
-	// streamed run below pays the same validation a real run does.
-	start := time.Now()
-	if _, err := sim.RecordTrace(p, *insts, *seed, path, 0); err != nil {
-		return err
-	}
-	encWall := time.Since(start)
-	st, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	encRec := tracefile.ThroughputRecord{
-		Name: "tracefile-encode", Records: *insts, Bytes: st.Size(),
-		BytesPerRecord: float64(st.Size()) / float64(*insts),
-		WallSeconds:    encWall.Seconds(), RecordsPerSec: float64(*insts) / encWall.Seconds(),
-	}
-	fmt.Printf("encode: %d records -> %d bytes (%.2f B/record) in %v (%.0f records/sec)\n",
-		encRec.Records, encRec.Bytes, encRec.BytesPerRecord,
-		encWall.Round(time.Millisecond), encRec.RecordsPerSec)
-
-	// Decode: a full sequential scan through the chunk cache.
-	rd, err := tracefile.Open(path)
-	if err != nil {
-		return err
-	}
-	var batch [4096]trace.Record
-	start = time.Now()
-	for i := 0; i < rd.Len(); {
-		n, err := rd.ReadRecordsAt(i, batch[:])
-		if err != nil {
-			rd.Close()
-			return err
-		}
-		i += n
-	}
-	decWall := time.Since(start)
-	rd.Close()
-	decRec := tracefile.ThroughputRecord{
-		Name: "tracefile-decode", Records: *insts, Bytes: st.Size(),
-		WallSeconds: decWall.Seconds(), RecordsPerSec: float64(*insts) / decWall.Seconds(),
-	}
-	fmt.Printf("decode: %d records in %v (%.0f records/sec)\n",
-		decRec.Records, decWall.Round(time.Millisecond), decRec.RecordsPerSec)
-
-	// Streamed engine: the cycle engine over a bounded window of the file,
-	// opened through the production validation path.
-	sw, rd, err := sim.OpenStreamImage(path)
-	if err != nil {
-		return err
-	}
-	defer rd.Close()
-	wt, err := trace.NewWindowTrace(rd, *window)
-	if err != nil {
-		return err
-	}
-	eng, err := core.NewEngine(core.Config{Engine: ek, L1ISize: 2 << 10}, sw.Dict, wt)
-	if err != nil {
-		return err
-	}
-	start = time.Now()
-	r, err := eng.Run()
-	if err != nil {
-		return err
-	}
-	runWall := time.Since(start)
-	runRec := tracefile.ThroughputRecord{
-		Name: "engine-streamed", Records: *insts,
-		WallSeconds: runWall.Seconds(), RecordsPerSec: float64(*insts) / runWall.Seconds(),
-		CyclesPerSec: float64(r.Cycles) / runWall.Seconds(),
-		WindowCap:    wt.Cap(),
-		MaxResident:  wt.MaxResident(),
-	}
-	fmt.Printf("stream: %s over %d records in %v (%.0f cycles/sec, window %d, max resident %d)\n",
-		ek, *insts, runWall.Round(time.Millisecond), runRec.CyclesPerSec, runRec.WindowCap, runRec.MaxResident)
-
-	if *jsonPath != "" {
-		recs := []tracefile.ThroughputRecord{encRec, decRec, runRec}
-		if err := tracefile.WriteBenchJSON(*jsonPath, recs); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
 	return nil
 }

@@ -39,8 +39,9 @@
 // one. Skipped cycles are provably no-ops, so results are bit-identical to
 // the per-cycle reference path (Config.NoSkip) — on miss-heavy workloads
 // most simulated cycles are DRAM waits and the fast-forward is a multi-x
-// throughput win, measured per grid point in BENCH_core.json and gated in
-// CI. See ARCHITECTURE.md, "Clocking & event horizons".
+// throughput win, which `clgpsim bench` measures per grid point against the
+// per-cycle path and holds to a floor in CI. See ARCHITECTURE.md,
+// "Clocking & event horizons".
 //
 // # Trace input
 //

@@ -18,8 +18,8 @@ func BenchmarkEngineCycle(b *testing.B) {
 }
 
 // BenchmarkEngineCycleNoSkip is the per-cycle reference path: every simulated
-// cycle is ticked individually, which is what the ns/cycle perf gate
-// (clgpsim bench, BENCH_core.json) measures the fast-forward win against.
+// cycle is ticked individually, which is what `clgpsim bench` measures the
+// fast-forward win against (sim.MeasureCore).
 func BenchmarkEngineCycleNoSkip(b *testing.B) {
 	benchmarkEngineCycle(b, EngineCLGP, true)
 }

@@ -9,8 +9,9 @@ import (
 // TestInstrumentedLoopZeroAlloc is the allocs/op guard for the engine's
 // hot-path counters (skipped cycles, cycle accounts, wrong-path fetches):
 // they are plain single-writer fields, so stepping the engine must not touch
-// the heap at all. The ns/cycle side of the same budget is enforced by the
-// bench gate (sim.Gate, MaxAllocsPerKCycle).
+// the heap at all. Whole-run allocations are bounded by `clgpsim bench`
+// (sim.Gate); their time cost by the paired A/B over
+// the repo benchmark (cmd/benchab).
 func TestInstrumentedLoopZeroAlloc(t *testing.T) {
 	w := icacheStressWorkload(t, 400_000, 7)
 	cfg := Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"reflect"
@@ -25,22 +24,17 @@ type CoreBenchRecord struct {
 	// Profile and Engine identify the grid point's axes.
 	Profile string `json:"profile"`
 	Engine  string `json:"engine"`
-	// Cycles and Committed are the simulated totals (identical in both
-	// modes — the equivalence contract).
-	Cycles    uint64 `json:"cycles"`
-	Committed uint64 `json:"committed"`
-	// SkippedCycles and SkippedFrac report how much of the run the
-	// event-horizon clock fast-forwarded over.
-	SkippedCycles uint64  `json:"skipped_cycles"`
-	SkippedFrac   float64 `json:"skipped_frac"`
-	// NsPerCycle and CyclesPerSec measure the default (skipping) path.
-	NsPerCycle   float64 `json:"ns_per_cycle"`
-	CyclesPerSec float64 `json:"cycles_per_sec"`
-	// NoSkipNsPerCycle and NoSkipCyclesPerSec measure the per-cycle
-	// reference path on the same workload.
-	NoSkipNsPerCycle   float64 `json:"noskip_ns_per_cycle"`
-	NoSkipCyclesPerSec float64 `json:"noskip_cycles_per_sec"`
-	// SpeedupVsNoSkip is CyclesPerSec / NoSkipCyclesPerSec.
+	// Cycles is the simulated total (identical in both modes — the
+	// equivalence contract).
+	Cycles uint64 `json:"cycles"`
+	// SkippedFrac is the share of the run the event-horizon clock
+	// fast-forwarded over.
+	SkippedFrac float64 `json:"skipped_frac"`
+	// NsPerCycle measures the default (skipping) path, NoSkipNsPerCycle
+	// the per-cycle reference path on the same workload.
+	NsPerCycle       float64 `json:"ns_per_cycle"`
+	NoSkipNsPerCycle float64 `json:"noskip_ns_per_cycle"`
+	// SpeedupVsNoSkip is NoSkipNsPerCycle / NsPerCycle.
 	SpeedupVsNoSkip float64 `json:"speedup_vs_noskip"`
 	// AllocsPerKCycle is heap allocations per thousand simulated cycles
 	// over a whole run (cold rings included); the steady-state loop itself
@@ -78,21 +72,13 @@ type GridSnapshotRecord struct {
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 }
 
-// CoreBench is the BENCH_core.json artifact: the perf contract of the cycle
-// engine, gated in CI against the committed baseline.
+// CoreBench is one measurement of the cycle engine's in-process ratios, the
+// floors `clgpsim bench` checks: each compares two code paths timed in the
+// same process, so it holds on any host.
 type CoreBench struct {
-	// CalibNsPerOp is a fixed pure-CPU reference measurement taken on the
-	// machine that produced the records. Gating scales the baseline's
-	// ns/cycle by the ratio of the two calibrations, so a slower CI runner
-	// is compared against what the baseline machine would have measured
-	// there, not against its absolute numbers.
-	CalibNsPerOp float64 `json:"calib_ns_per_op"`
-	// Insts is the per-run trace length the records were measured with.
-	Insts int `json:"insts"`
 	// Records is one entry per (profile × engine) grid point.
 	Records []CoreBenchRecord `json:"records"`
-	// GridSnapshot is the warm-state snapshot measurement (nil in artifacts
-	// written before snapshots existed).
+	// GridSnapshot is the warm-state snapshot measurement.
 	GridSnapshot *GridSnapshotRecord `json:"grid_snapshot,omitempty"`
 }
 
@@ -103,31 +89,6 @@ var CoreBenchProfiles = []string{"gzip", "gcc", "mcf", "twolf"}
 
 // CoreBenchEngines is the default engine axis (all four schemes).
 var CoreBenchEngines = []core.EngineKind{core.EngineNone, core.EngineNextN, core.EngineFDP, core.EngineCLGP}
-
-// Calibrate runs a fixed xorshift loop and returns its ns/op: a
-// machine-speed reference that makes committed ns/cycle baselines portable
-// across hosts of different speeds (see CoreBench.CalibNsPerOp).
-func Calibrate() float64 {
-	const iters = 1 << 22
-	best := float64(0)
-	for rep := 0; rep < 3; rep++ {
-		x := uint64(0x9e3779b97f4a7c15)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-		}
-		ns := float64(time.Since(start).Nanoseconds()) / iters
-		if x == 0 { // defeat dead-code elimination; never true for this seed
-			ns++
-		}
-		if best == 0 || ns < best {
-			best = ns
-		}
-	}
-	return best
-}
 
 // coreBenchConfig is the fixed grid-point configuration: the 90nm node with
 // a 2KB L1, the regime where both instruction delivery and data stalls are
@@ -158,11 +119,10 @@ func timedRun(cfg core.Config, w *workload.Workload) (time.Duration, uint64, uin
 }
 
 // MeasureCore benchmarks the cycle engine over profiles × engines with
-// insts-long traces (0 selects 200000) and returns the BENCH_core records.
-// Each mode is run five times and the fastest wall time kept — the minimum
-// reliably touches the machine's quiet-moment floor, so baseline and gate
-// runs measure the same thing even when individual reps absorb scheduler
-// noise on shared runners.
+// insts-long traces (0 selects 200000) and returns one record per grid point.
+// Each mode is run five times, interleaved, and the fastest wall time kept:
+// the minimum touches the host's quiet-moment floor, so the skip-vs-noskip
+// ratio holds even when single reps absorb scheduler noise.
 func MeasureCore(profiles []string, engines []core.EngineKind, insts int, seed int64) (*CoreBench, error) {
 	if len(profiles) == 0 {
 		profiles = CoreBenchProfiles
@@ -173,7 +133,7 @@ func MeasureCore(profiles []string, engines []core.EngineKind, insts int, seed i
 	if insts <= 0 {
 		insts = 200_000
 	}
-	cb := &CoreBench{CalibNsPerOp: Calibrate(), Insts: insts}
+	cb := &CoreBench{}
 	for _, prof := range profiles {
 		p, err := workload.ProfileByName(prof)
 		if err != nil {
@@ -188,16 +148,16 @@ func MeasureCore(profiles []string, engines []core.EngineKind, insts int, seed i
 			rec.Profile, rec.Engine = prof, ek.String()
 			rec.Name = prof + "/" + ek.String()
 			var skipWall, noskipWall time.Duration
-			var allocs uint64
+			var allocs, skipped uint64
 			for rep := 0; rep < 5; rep++ {
-				wall, cycles, skipped, mallocs, err := timedRun(coreBenchConfig(ek, false), w)
+				wall, cycles, skippedCycles, mallocs, err := timedRun(coreBenchConfig(ek, false), w)
 				if err != nil {
 					return nil, fmt.Errorf("corebench %s: %w", rec.Name, err)
 				}
 				if skipWall == 0 || wall < skipWall {
 					skipWall, allocs = wall, mallocs
 				}
-				rec.Cycles, rec.SkippedCycles = cycles, skipped
+				rec.Cycles, skipped = cycles, skippedCycles
 				wall, refCycles, _, _, err := timedRun(coreBenchConfig(ek, true), w)
 				if err != nil {
 					return nil, fmt.Errorf("corebench %s (noskip): %w", rec.Name, err)
@@ -210,13 +170,10 @@ func MeasureCore(profiles []string, engines []core.EngineKind, insts int, seed i
 					noskipWall = wall
 				}
 			}
-			rec.Committed = uint64(insts)
-			rec.SkippedFrac = float64(rec.SkippedCycles) / float64(rec.Cycles)
+			rec.SkippedFrac = float64(skipped) / float64(rec.Cycles)
 			rec.NsPerCycle = float64(skipWall.Nanoseconds()) / float64(rec.Cycles)
-			rec.CyclesPerSec = float64(rec.Cycles) / skipWall.Seconds()
 			rec.NoSkipNsPerCycle = float64(noskipWall.Nanoseconds()) / float64(rec.Cycles)
-			rec.NoSkipCyclesPerSec = float64(rec.Cycles) / noskipWall.Seconds()
-			rec.SpeedupVsNoSkip = rec.CyclesPerSec / rec.NoSkipCyclesPerSec
+			rec.SpeedupVsNoSkip = noskipWall.Seconds() / skipWall.Seconds()
 			rec.AllocsPerKCycle = 1000 * float64(allocs) / float64(rec.Cycles)
 			cb.Records = append(cb.Records, rec)
 		}
@@ -346,55 +303,20 @@ func MeasureSnapshotGrid(profile string, insts int, seed int64) (*GridSnapshotRe
 	return gs, nil
 }
 
-// WriteCoreBench writes the artifact as indented JSON.
-func WriteCoreBench(path string, cb *CoreBench) error {
-	data, err := json.MarshalIndent(cb, "", "  ")
-	if err != nil {
-		return fmt.Errorf("sim: encoding core bench: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("sim: writing %s: %w", path, err)
-	}
-	return nil
-}
-
-// LoadCoreBench reads a BENCH_core.json artifact.
-func LoadCoreBench(path string) (*CoreBench, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var cb CoreBench
-	if err := json.Unmarshal(data, &cb); err != nil {
-		return nil, fmt.Errorf("sim: parsing %s: %w", path, err)
-	}
-	return &cb, nil
-}
-
-// GateLimits parameterises the perf gate.
-type GateLimits struct {
-	// MaxRegress is the tolerated ns/cycle growth over the
-	// calibration-scaled baseline (0.10 = 10%).
-	MaxRegress float64
-	// NoiseNs is an absolute slack added on top of the relative budget:
-	// deltas smaller than a few ns/cycle are scheduler noise, not
-	// regressions — without the floor, a 4ns wobble on a 35ns mcf record
-	// would flake the gate while a genuine 40ns regression on a 300ns
-	// record sailed through.
-	NoiseNs float64
-	// MinMissHeavySpeedup is the floor on SpeedupVsNoSkip for the
+// The floors `clgpsim bench` checks.
+const (
+	// minMissHeavySpeedup is the floor on SpeedupVsNoSkip for the
 	// miss-heavy profiles (mcf) — the event-horizon clock's reason
 	// to exist.
-	MinMissHeavySpeedup float64
-	// MinSpeedup is the floor on SpeedupVsNoSkip everywhere: no profile
+	minMissHeavySpeedup = 1.6
+	// minSpeedup is the floor on SpeedupVsNoSkip everywhere: no profile
 	// may be slower with skipping than without (0.95 leaves measurement
 	// noise room).
-	MinSpeedup float64
-	// MaxAllocsPerKCycle bounds whole-run heap allocations; a single
+	minSpeedup = 0.95
+	// maxAllocsPerKCycle bounds whole-run heap allocations; a single
 	// per-cycle allocation would show up as ~1000.
-	MaxAllocsPerKCycle float64
-	// MinSnapshotSpeedup is the floor on the grid_snapshot record's
+	maxAllocsPerKCycle = 1.0
+	// minSnapshotSpeedup is the floor on the grid_snapshot record's
 	// SpeedupVsCold. The warm pass simulates half the instructions of the
 	// cold pass (warm-up is Insts/2), so the work ratio alone predicts ~2x;
 	// restore/deserialisation overhead and the non-linearity of warm-up
@@ -402,13 +324,8 @@ type GateLimits struct {
 	// restoring is not at least 20% faster than re-simulating a
 	// warm-up-dominated grid, the snapshot path has regressed into
 	// pointlessness.
-	MinSnapshotSpeedup float64
-}
-
-// DefaultGateLimits returns the limits CI enforces.
-func DefaultGateLimits() GateLimits {
-	return GateLimits{MaxRegress: 0.10, NoiseNs: 8, MinMissHeavySpeedup: 1.6, MinSpeedup: 0.95, MaxAllocsPerKCycle: 1.0, MinSnapshotSpeedup: 1.2}
-}
+	minSnapshotSpeedup = 1.2
+)
 
 // missHeavy reports whether a profile is one of the pointer-chase grid
 // points the ≥2× tentpole targets. twolf dropped off this list when the
@@ -417,114 +334,46 @@ func DefaultGateLimits() GateLimits {
 // ratio to ~1.2–1.3× (it is moderately miss-heavy, so most of its wins
 // came from walk elision, which both clock modes now share). mcf's long
 // memory stalls keep cycle skipping itself decisively ahead (~2×).
-// twolf remains bound by MinSpeedup like every other profile.
+// twolf remains bound by minSpeedup like every other profile.
 func missHeavy(profile string) bool { return profile == "mcf" }
 
-// calibScale is the ratio by which the gate and the comparison table scale
-// the baseline's ns/cycle to the current machine. It protects slower
-// machines from false failures by scaling the baseline up, and is clamped
-// at 1 so a burst of turbo on a faster (or merely less loaded) machine can
-// never scale the allowed bound *below* the committed baseline and
-// manufacture regressions out of calibration noise.
-func calibScale(baseline, current *CoreBench) float64 {
-	if baseline != nil && baseline.CalibNsPerOp > 0 && current.CalibNsPerOp > baseline.CalibNsPerOp {
-		return current.CalibNsPerOp / baseline.CalibNsPerOp
-	}
-	return 1.0
-}
-
-// Gate checks current against the committed baseline (nil skips the
-// regression comparison) and the machine-independent invariants, returning
-// one human-readable violation per failure; an empty slice is a pass.
-func Gate(baseline, current *CoreBench, lim GateLimits) []string {
+// Gate checks current against the floors, returning one human-readable
+// violation per failure; an empty slice is a pass.
+func Gate(current *CoreBench) []string {
 	var bad []string
-	if baseline != nil && baseline.Insts != current.Insts {
-		// ns/cycle folds cold-start cost over the run length, so only
-		// same-length measurements are comparable.
-		bad = append(bad, fmt.Sprintf("measured with %d insts but the baseline used %d — rerun with -core-insts %d",
-			current.Insts, baseline.Insts, baseline.Insts))
-		return bad
-	}
-	scale := calibScale(baseline, current)
-	base := map[string]CoreBenchRecord{}
-	if baseline != nil {
-		for _, r := range baseline.Records {
-			base[r.Name] = r
-		}
-	}
 	for _, r := range current.Records {
-		if b, ok := base[r.Name]; ok {
-			allowed := b.NsPerCycle*scale*(1+lim.MaxRegress) + lim.NoiseNs
-			if r.NsPerCycle > allowed {
-				bad = append(bad, fmt.Sprintf("%s: %.1f ns/cycle exceeds baseline %.1f (allowed %.1f: calibration-scaled +%.0f%% +%.0fns noise floor)",
-					r.Name, r.NsPerCycle, b.NsPerCycle, allowed, 100*lim.MaxRegress, lim.NoiseNs))
-			}
-		}
-		if missHeavy(r.Profile) && r.SpeedupVsNoSkip < lim.MinMissHeavySpeedup {
+		if missHeavy(r.Profile) && r.SpeedupVsNoSkip < minMissHeavySpeedup {
 			bad = append(bad, fmt.Sprintf("%s: event-horizon speedup %.2fx below the miss-heavy floor %.2fx",
-				r.Name, r.SpeedupVsNoSkip, lim.MinMissHeavySpeedup))
+				r.Name, r.SpeedupVsNoSkip, minMissHeavySpeedup))
 		}
-		if r.SpeedupVsNoSkip < lim.MinSpeedup {
+		if r.SpeedupVsNoSkip < minSpeedup {
 			bad = append(bad, fmt.Sprintf("%s: skipping is slower than the per-cycle path (%.2fx < %.2fx)",
-				r.Name, r.SpeedupVsNoSkip, lim.MinSpeedup))
+				r.Name, r.SpeedupVsNoSkip, minSpeedup))
 		}
-		if r.AllocsPerKCycle > lim.MaxAllocsPerKCycle {
+		if r.AllocsPerKCycle > maxAllocsPerKCycle {
 			bad = append(bad, fmt.Sprintf("%s: %.2f allocs per 1000 cycles exceeds %.2f — the loop is allocating",
-				r.Name, r.AllocsPerKCycle, lim.MaxAllocsPerKCycle))
+				r.Name, r.AllocsPerKCycle, maxAllocsPerKCycle))
 		}
 	}
 	switch gs := current.GridSnapshot; {
-	case gs != nil:
-		if gs.SpeedupVsCold < lim.MinSnapshotSpeedup {
-			bad = append(bad, fmt.Sprintf("grid_snapshot/%s: warm-restore speedup %.2fx below the %.2fx floor over cold warm-up",
-				gs.Profile, gs.SpeedupVsCold, lim.MinSnapshotSpeedup))
-		}
-	case baseline != nil && baseline.GridSnapshot != nil:
-		bad = append(bad, "grid_snapshot: present in baseline but not measured")
-	}
-	for name := range base {
-		found := false
-		for _, r := range current.Records {
-			if r.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			bad = append(bad, fmt.Sprintf("%s: present in baseline but not measured", name))
-		}
+	case gs == nil:
+		bad = append(bad, "grid_snapshot: not measured")
+	case gs.SpeedupVsCold < minSnapshotSpeedup:
+		bad = append(bad, fmt.Sprintf("grid_snapshot/%s: warm-restore speedup %.2fx below the %.2fx floor over cold warm-up",
+			gs.Profile, gs.SpeedupVsCold, minSnapshotSpeedup))
 	}
 	sort.Strings(bad)
 	return bad
 }
 
-// FormatCoreComparison renders a benchstat-style table of current against
-// baseline (which may be nil for a plain report).
-func FormatCoreComparison(baseline, current *CoreBench) string {
+// FormatCoreComparison renders one row per grid point: ns/cycle in both
+// clock modes, their ratio and the share of cycles skipped.
+func FormatCoreComparison(current *CoreBench) string {
 	var sb strings.Builder
-	scale := calibScale(baseline, current)
-	base := map[string]CoreBenchRecord{}
-	if baseline != nil {
-		for _, r := range baseline.Records {
-			base[r.Name] = r
-		}
-		fmt.Fprintf(&sb, "%-16s %12s %12s %8s %10s %8s\n", "grid point", "base ns/cyc", "now ns/cyc", "delta", "speedup", "skipped")
-	} else {
-		fmt.Fprintf(&sb, "%-16s %12s %12s %8s %10s %8s\n", "grid point", "ns/cyc", "noskip", "", "speedup", "skipped")
-	}
+	fmt.Fprintf(&sb, "%-16s %12s %12s %10s %8s\n", "grid point", "ns/cyc", "noskip", "speedup", "skipped")
 	for _, r := range current.Records {
-		if b, ok := base[r.Name]; ok {
-			scaled := b.NsPerCycle * scale
-			fmt.Fprintf(&sb, "%-16s %12.1f %12.1f %+7.1f%% %9.2fx %7.1f%%\n",
-				r.Name, scaled, r.NsPerCycle, 100*(r.NsPerCycle-scaled)/scaled, r.SpeedupVsNoSkip, 100*r.SkippedFrac)
-		} else {
-			fmt.Fprintf(&sb, "%-16s %12.1f %12.1f %8s %9.2fx %7.1f%%\n",
-				r.Name, r.NsPerCycle, r.NoSkipNsPerCycle, "", r.SpeedupVsNoSkip, 100*r.SkippedFrac)
-		}
-	}
-	if baseline != nil {
-		fmt.Fprintf(&sb, "(baseline scaled by %.2f via the calibration loop: %.2f -> %.2f ns/op)\n",
-			scale, baseline.CalibNsPerOp, current.CalibNsPerOp)
+		fmt.Fprintf(&sb, "%-16s %12.1f %12.1f %9.2fx %7.1f%%\n",
+			r.Name, r.NsPerCycle, r.NoSkipNsPerCycle, r.SpeedupVsNoSkip, 100*r.SkippedFrac)
 	}
 	return sb.String()
 }

@@ -118,4 +118,3 @@ func (j Job) WarmStart(eng *core.Engine, src core.TraceSource) (*core.Engine, er
 	_ = j.Snapshots.PushSnapshot(key, data)
 	return eng, nil
 }
-
