@@ -22,13 +22,11 @@ func (c *Cache) SaveState(e *snap.Encoder) {
 	e.Int(c.portsUsed)
 	e.U64(c.accesses)
 	e.U64(c.misses)
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			way := &c.sets[s][w]
-			e.Bool(way.valid)
-			e.U64(uint64(way.tag))
-			e.U64(way.lru)
-		}
+	for i := range c.ways {
+		way := &c.ways[i]
+		e.Bool(way.valid)
+		e.U64(uint64(way.tag))
+		e.U64(way.lru)
 	}
 }
 
@@ -52,12 +50,10 @@ func (c *Cache) LoadState(d *snap.Decoder) {
 	c.portsUsed = d.Int()
 	c.accesses = d.U64()
 	c.misses = d.U64()
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			way := &c.sets[s][w]
-			way.valid = d.Bool()
-			way.tag = isa.Addr(d.U64())
-			way.lru = d.U64()
-		}
+	for i := range c.ways {
+		way := &c.ways[i]
+		way.valid = d.Bool()
+		way.tag = isa.Addr(d.U64())
+		way.lru = d.U64()
 	}
 }

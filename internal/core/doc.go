@@ -20,16 +20,19 @@
 //	          issues prefetches into the prestage buffer / L0 through the
 //	          shared L2 bus
 //	fetch     at most one cache line is in flight; delivered instructions
-//	          enter the dispatch queue and the back-end dispatches up to
-//	          FetchWidth per cycle
+//	          enter the dispatch queue (the fetched segment of the
+//	          back-end's instruction window) and the back-end dispatches
+//	          up to FetchWidth per cycle
 //	execute   the 4-wide, 15-stage, 64-entry-RUU back-end executes and
 //	          commits; a mispredicted branch resolving here flushes the
 //	          queues, restores the predictor checkpoint and redirects
 //
-// The loop is allocation-free in steady state: DynInsts and memory
-// Requests recycle through free-lists, every queue is a ring buffer, and
-// the recovery checkpoint reuses its storage (BenchmarkEngineCycle holds
-// the 0 allocs/op line).
+// The loop is allocation-free in steady state: in-flight instructions live
+// by value in the back-end's fixed window, memory Requests recycle through
+// a free-list, every queue is a ring buffer, and the recovery checkpoint
+// reuses its storage (BenchmarkEngineCycle holds the 0 allocs/op line).
+// The window's DynInsts hold no Go pointer, so the loop's stores into them
+// pay no GC write barrier.
 //
 // # Clocking
 //

@@ -18,8 +18,9 @@ import (
 // prefetch engine, the pre-buffer/L0/L1 hierarchy, the fetch stage and the
 // back-end pipeline together.
 //
-// The loop is engineered to be allocation-free in steady state: DynInsts and
-// memory Requests are recycled through free-lists, every queue is a ring
+// The loop is engineered to be allocation-free in steady state: in-flight
+// instructions live by value in the back-end's fixed instruction window,
+// memory Requests are recycled through a free-list, every queue is a ring
 // buffer, and the predictor checkpoint needed for misprediction recovery is
 // saved into reusable storage. BenchmarkEngineCycle verifies 0 allocs/op.
 //
@@ -92,9 +93,9 @@ type Engine struct {
 	blockMeta []blockMeta
 
 	// Fetch state: at most one cache line is being fetched at a time; its
-	// instructions are delivered into the dispatch queue when the data
-	// arrives, and the back-end dispatches up to FetchWidth of them per
-	// cycle.
+	// instructions are delivered into the back-end's fetched segment (the
+	// dispatch queue) when the data arrives, and the back-end dispatches up
+	// to FetchWidth of them per cycle.
 	fetchActive  bool
 	fetchReq     *memory.Request // nil when served by the pre-buffer
 	fetchReadyAt uint64
@@ -103,17 +104,6 @@ type Engine struct {
 	// drain holds demand-fetch requests abandoned by a misprediction flush;
 	// they complete in the background and are then released.
 	drain []*memory.Request
-
-	// dq is the dispatch queue ring (fetched, not yet dispatched).
-	dq     []*pipeline.DynInst
-	dqHead int
-	dqN    int
-
-	pool      *pipeline.Pool
-	commitBuf []*pipeline.DynInst
-
-	// nop backs wrong-path fetches that run off the program image.
-	nop isa.StaticInst
 
 	// statistics
 	fetched          uint64
@@ -141,17 +131,18 @@ type blockMeta struct {
 	mispred   bool // the block's last instruction is the mispredicted branch
 }
 
-// dispatchQueueCap bounds the fetched-but-not-dispatched window; a fetch
-// line holds at most fetchLineHeadroom instructions, so fetch stalls when
-// fewer than that many slots are free.
-const dispatchQueueCap = 64
-
 // fetchLineHeadroom is the dispatch-queue space a line fetch may need on
-// delivery (64B line / 4B instructions). fetchStage's start condition and
-// skipToNextEvent's same-cycle-work check share it: if they diverged, the
-// skip path could jump over a cycle where fetch would start a line and
-// break the bit-identical-results guarantee.
+// delivery (64B line / 4B instructions); fetch stalls when fewer than that
+// many of the back-end's pipeline.FetchQueueCap fetched slots are free.
 const fetchLineHeadroom = 16
+
+// fetchRoom reports whether the dispatch queue can absorb a full line.
+// fetchStage's start condition and the skip path's same-cycle-work checks
+// share it: if they diverged, the skip path could jump over a cycle where
+// fetch would start a line and break the bit-identical-results guarantee.
+func (e *Engine) fetchRoom() bool {
+	return pipeline.FetchQueueCap-e.backend.Fetched() >= fetchLineHeadroom
+}
 
 // blockMetaRing must exceed the maximum number of in-flight fetch blocks
 // (queue capacity plus the block being fetched).
@@ -209,12 +200,7 @@ func NewEngine(cfg Config, dict *isa.Dictionary, tr TraceSource) (*Engine, error
 		trLen:     tr.Len(),
 		noSkip:    cfg.NoSkip,
 		blockMeta: make([]blockMeta, blockMetaRing),
-		dq:        make([]*pipeline.DynInst, dispatchQueueCap),
-		pool:      pipeline.NewPool(),
-		commitBuf: make([]*pipeline.DynInst, 0, cfg.Backend.Width),
-		nop:       isa.StaticInst{Class: isa.OpNop, Src1: isa.RegZero, Src2: isa.RegZero, Dst: isa.RegZero},
 	}
-	backend.SetPool(e.pool)
 	pred.RASRef().SaveInto(&e.rasScratch)
 	pred.RASRef().SaveInto(&e.recoverRAS)
 	return e, nil
@@ -300,25 +286,23 @@ func (e *Engine) Step() bool {
 	// 2. Prefetch engine: scan its queue, issue prefetches, complete fills.
 	e.eng.Tick(now)
 	// 3. Back-end: issue/execute/commit; detect branch resolution.
-	e.commitBuf = e.commitBuf[:0]
-	committed, resolved := e.backend.TickInto(now, e.commitBuf)
-	e.commitBuf = committed
-	for _, d := range committed {
+	committed, resolved := e.backend.TickInto(now)
+	for i := 0; i < committed; i++ {
+		d := e.backend.CommittedAt(i)
 		if d.Static.Class == isa.OpBranch {
 			e.branches++
 		}
 		if d.MispredictedBranch {
 			e.mispredicts++
 		}
-		e.pool.Put(d)
 	}
-	if resolved != nil {
+	if resolved {
 		e.recoverFromMisprediction(now)
 	}
 	// Committed records are dead to the engine; let windowed trace sources
 	// evict them. The frontier only moves on commit, so idle cycles skip
 	// the interface call entirely.
-	if len(committed) > 0 {
+	if committed > 0 {
 		e.lastCommitted = e.backend.Committed()
 		e.tr.Advance(int(e.lastCommitted))
 	}
@@ -341,9 +325,9 @@ func (e *Engine) Step() bool {
 	// charge of a no-op cycle always matches the bulk charge the skip path
 	// applies for it — skip and no-skip accounts are bit-identical.
 	switch {
-	case len(committed) > 0:
+	case committed > 0:
 		e.accounts[stats.CycleCommit]++
-	case resolved != nil || e.wrongPath:
+	case resolved || e.wrongPath:
 		e.accounts[stats.CycleWrongPath]++
 	default:
 		cause, _, _, _ := e.horizonWalk(now)
@@ -362,7 +346,7 @@ func (e *Engine) Step() bool {
 	// there the predictor produces a block every cycle the queue has room, so
 	// block production alone must not disqualify the attempt — skipToNextEvent
 	// handles those spans with a dedicated production fast path.
-	if !e.noSkip && len(committed) == 0 && resolved == nil &&
+	if !e.noSkip && committed == 0 && !resolved &&
 		e.fetched == preFetched && (e.nextSeqID == preSeqID || e.wrongPath) {
 		e.skipToNextEvent()
 	}
@@ -419,7 +403,7 @@ func (e *Engine) horizonWalk(now uint64) (cause stats.CycleCause, horizon uint64
 		// Queue full: prediction unblocks via a fetch-stage pop, which the
 		// fetch horizon below already covers.
 	}
-	if e.dqN > 0 && e.backend.FreeSlots() > 0 {
+	if e.backend.Fetched() > 0 && e.backend.FreeSlots() > 0 {
 		// Dispatch moves instructions this cycle: front-end delivery work.
 		return stats.CycleFrontend, now, true, false
 	}
@@ -440,7 +424,7 @@ func (e *Engine) horizonWalk(now uint64) (cause stats.CycleCause, horizon uint64
 		if t < horizon {
 			horizon, cause = t, c
 		}
-	} else if dispatchQueueCap-e.dqN >= fetchLineHeadroom {
+	} else if e.fetchRoom() {
 		if _, ok := e.eng.NextFetch(); ok {
 			// A line fetch starts this cycle.
 			return stats.CycleFrontend, now, true, false
@@ -527,7 +511,7 @@ func (e *Engine) produceWrongPathUntil(limit uint64) {
 		if e.eng.NextEvent(now) <= now {
 			break // the new block gives the prefetch engine same-cycle work
 		}
-		if !e.fetchActive && dispatchQueueCap-e.dqN >= fetchLineHeadroom {
+		if !e.fetchActive && e.fetchRoom() {
 			if _, ok := e.eng.NextFetch(); ok {
 				break // the new block is fetchable: fetch starts next cycle
 			}
@@ -764,7 +748,7 @@ func (e *Engine) fetchStage(now uint64) {
 		}
 	}
 	// Start the next line once the dispatch queue can absorb a full line.
-	if e.fetchActive || dispatchQueueCap-e.dqN < fetchLineHeadroom {
+	if e.fetchActive || !e.fetchRoom() {
 		return
 	}
 	fr, ok := e.eng.NextFetch()
@@ -794,17 +778,13 @@ func (e *Engine) deliverLine(now uint64, src stats.Source) {
 	e.fetchSources.Add(src, 1)
 	for i := 0; i < fr.NumInsts; i++ {
 		pc := fr.Start + isa.Addr(i)*isa.InstBytes
-		d := e.pool.Get()
+		d := e.backend.FetchSlot()
 		e.seq++
 		d.Seq = e.seq
 		d.WrongPath = fr.WrongPath
 		d.FetchedAt = now
-		si := e.dict.Inst(pc)
-		if si == nil {
-			// Wrong-path fetch ran off the program image.
-			si = &e.nop
-		}
-		d.Static = si
+		// A nil lookup is a wrong-path fetch that ran off the program image.
+		d.SetStatic(e.dict.Inst(pc))
 		if !fr.WrongPath && m != nil && m.traceBase >= 0 {
 			rec := e.tr.At(m.traceBase + m.delivered)
 			d.EffAddr = rec.EffAddr
@@ -817,33 +797,15 @@ func (e *Engine) deliverLine(now uint64, src stats.Source) {
 		if d.WrongPath {
 			e.wrongPathFetched++
 		}
-		e.dqPush(d)
 	}
 }
 
 // dispatchStage moves up to FetchWidth instructions into the back-end.
 func (e *Engine) dispatchStage(now uint64) {
-	for dispatched := 0; e.dqN > 0 && dispatched < e.cfg.FetchWidth; dispatched++ {
-		if !e.backend.Dispatch(e.dq[e.dqHead], now) {
-			return // RUU full: back-pressure on fetch
-		}
-		e.dqPop()
+	// Dispatch stops early when the queue empties or the RUU is full
+	// (back-pressure on fetch).
+	for dispatched := 0; dispatched < e.cfg.FetchWidth && e.backend.Dispatch(now); dispatched++ {
 	}
-}
-
-func (e *Engine) dqPush(d *pipeline.DynInst) {
-	if e.dqN >= dispatchQueueCap {
-		// Cannot happen: fetchStage leaves a full line of headroom.
-		panic("core: dispatch queue overflow")
-	}
-	e.dq[(e.dqHead+e.dqN)%dispatchQueueCap] = d
-	e.dqN++
-}
-
-func (e *Engine) dqPop() {
-	e.dq[e.dqHead] = nil
-	e.dqHead = (e.dqHead + 1) % dispatchQueueCap
-	e.dqN--
 }
 
 // ---------------------------------------------------------------------------
@@ -853,15 +815,12 @@ func (e *Engine) dqPop() {
 // branch resolved in the back-end.
 func (e *Engine) recoverFromMisprediction(now uint64) {
 	e.eng.Flush()
+	// Everything fetched after the (already dispatched and resolved) branch
+	// is wrong-path: the squash drops the dispatch queue and the RUU's
+	// wrong-path suffix.
 	e.backend.SquashWrongPath()
 	e.mem.CancelPrefetches()
 
-	// Everything fetched after the (already dispatched and resolved) branch
-	// is wrong-path: drop it.
-	for e.dqN > 0 {
-		e.pool.Put(e.dq[e.dqHead])
-		e.dqPop()
-	}
 	// Abandon the in-flight line fetch; the request completes and is
 	// reclaimed in the background.
 	if e.fetchActive {

@@ -7,7 +7,6 @@ import (
 	"clgp/internal/bpred"
 	"clgp/internal/isa"
 	"clgp/internal/memory"
-	"clgp/internal/pipeline"
 	"clgp/internal/snap"
 )
 
@@ -30,44 +29,6 @@ func (c Config) WarmKey() uint64 {
 		int(c.Engine), c.PreBufferEntries, c.FetchWidth, c.RedirectPenalty,
 		c.Backend, c.Predictor)
 	return h.Sum64()
-}
-
-// SaveStatic implements pipeline.InstCodec: a static-instruction pointer is
-// written as nil (0), the engine's synthetic off-image nop (2), or an image
-// instruction identified by its PC (1).
-func (e *Engine) SaveStatic(enc *snap.Encoder, s *isa.StaticInst) {
-	switch {
-	case s == nil:
-		enc.U8(0)
-	case s == &e.nop:
-		enc.U8(2)
-	default:
-		enc.U8(1)
-		enc.U64(uint64(s.PC))
-	}
-}
-
-// LoadStatic implements pipeline.InstCodec, resolving references written by
-// SaveStatic through the engine's dictionary.
-func (e *Engine) LoadStatic(d *snap.Decoder) *isa.StaticInst {
-	switch marker := d.U8(); marker {
-	case 0:
-		return nil
-	case 2:
-		return &e.nop
-	case 1:
-		pc := isa.Addr(d.U64())
-		si := e.dict.Inst(pc)
-		if si == nil && d.Err() == nil {
-			d.Failf("core: static instruction at %#x not in the dictionary", pc)
-		}
-		return si
-	default:
-		if d.Err() == nil {
-			d.Failf("core: invalid static instruction marker %d", marker)
-		}
-		return nil
-	}
 }
 
 // Snapshot serialises the complete mutable state of the engine — every piece
@@ -152,11 +113,8 @@ func (e *Engine) Snapshot(workload string, fingerprint uint64) ([]byte, error) {
 		rs.SaveID(&enc, r)
 	}
 
-	// Dispatch queue, in logical (fetch) order.
-	enc.Int(e.dqN)
-	for i := 0; i < e.dqN; i++ {
-		pipeline.SaveInst(&enc, e.dq[(e.dqHead+i)%dispatchQueueCap], rs, e)
-	}
+	// Dispatch queue (the back-end's fetched segment), in fetch order.
+	e.backend.SaveFetched(&enc, rs)
 
 	// Statistics that feed stats.Results.
 	enc.U64(e.fetched)
@@ -173,7 +131,7 @@ func (e *Engine) Snapshot(workload string, fingerprint uint64) ([]byte, error) {
 
 	// Component sections.
 	e.mem.SaveState(&enc, rs)
-	e.backend.SaveState(&enc, rs, e)
+	e.backend.SaveState(&enc, rs)
 	e.eng.SaveState(&enc, rs)
 	e.pred.SaveState(&enc)
 
@@ -281,22 +239,9 @@ func (e *Engine) Restore(data []byte, workload string, fingerprint uint64) error
 		e.drain = append(e.drain, r)
 	}
 
-	dqN := d.Count(dispatchQueueCap)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	for i := range e.dq {
-		e.dq[i] = nil
-	}
-	e.dqHead = 0
-	e.dqN = dqN
-	for i := 0; i < dqN; i++ {
-		di := e.pool.Get()
-		// Pre-dispatch instructions carry no dependence links yet (Dispatch
-		// establishes them), so the fixups are always empty; discard them.
-		_ = pipeline.LoadInst(d, di, rs, e)
-		e.dq[i] = di
-	}
+	// The fetched segment restores first; the back-end section below
+	// rebuilds the RUU in front of it.
+	e.backend.LoadFetched(d, rs, e.dict)
 
 	e.fetched = d.U64()
 	e.wrongPathFetched = d.U64()
@@ -311,7 +256,7 @@ func (e *Engine) Restore(data []byte, workload string, fingerprint uint64) error
 	}
 
 	e.mem.LoadState(d, rs)
-	e.backend.LoadState(d, rs, e)
+	e.backend.LoadState(d, rs, e.dict)
 	e.eng.LoadState(d, rs)
 	e.pred.LoadState(d)
 	if err := d.Err(); err != nil {

@@ -242,3 +242,71 @@ func TestWarmKeyAxes(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotRestoreAtMispredictPoints snapshots a mispredict-heavy run at
+// about 50 evenly spaced cycle points and restores each into a fresh engine:
+// every restored run must finish bit-identical to the uninterrupted one. The
+// points must include machine states with fetched instructions waiting for
+// dispatch behind a wrong-path suffix in the RUU, the state the restore path
+// rebuilds around the fetched segment.
+func TestSnapshotRestoreAtMispredictPoints(t *testing.T) {
+	p, err := workload.ProfileByName("twolf")
+	if err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	p.Name = "twolf-noisy"
+	p.NoisyBranchFrac = 0.5
+	p.NoisyTakenBias = 0.5
+	w, err := workload.Generate(p, 12_000, 53)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	fp := workload.Fingerprint(w.Profile, w.Dict)
+	cfg := Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true, PreBufferEntries: 8}
+	ref := runConfig(t, cfg, w)
+	if ref.Mispredictions == 0 {
+		t.Fatal("profile produced no mispredictions; the test exercises nothing")
+	}
+
+	eng, err := NewEngine(cfg, w.Dict, w.Trace)
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	// A wrong-path instruction is in the RUU when more were delivered since
+	// the in-flight misprediction was detected than the fetched segment holds
+	// (none commits, and none is squashed before the resolution that ends
+	// the episode). A new episode starts in the predict stage, after the
+	// Step's fetch, so the count at the end of that Step is its base.
+	var episode, episodeBase uint64
+	const points = 50
+	every := ref.Cycles / points
+	var taken, wrongSuffixWithFetched int
+	for next := every; eng.Step(); {
+		if eng.detectedMisp != episode {
+			episode, episodeBase = eng.detectedMisp, eng.wrongPathFetched
+		}
+		if eng.Cycles() < next {
+			continue
+		}
+		next += every
+		fetched := uint64(eng.backend.Fetched())
+		if eng.wrongPath && fetched > 0 && eng.wrongPathFetched-episodeBase > fetched {
+			wrongSuffixWithFetched++
+		}
+		data, err := eng.Snapshot(w.Name, fp)
+		if err != nil {
+			t.Fatalf("snapshot at cycle %d: %v", eng.Cycles(), err)
+		}
+		taken++
+		if got := restoreAndRun(t, cfg, w, data); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("run restored at cycle %d diverges from straight-through:\nrestored: %+v\nstraight: %+v", eng.Cycles(), got, ref)
+		}
+	}
+	if taken < points-5 {
+		t.Errorf("took %d snapshots, want about %d", taken, points)
+	}
+	if wrongSuffixWithFetched == 0 {
+		t.Errorf("none of %d points had fetched instructions behind a wrong-path RUU suffix", taken)
+	}
+	t.Logf("%d snapshot points, %d with fetched instructions behind a wrong-path RUU suffix", taken, wrongSuffixWithFetched)
+}

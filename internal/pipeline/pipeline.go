@@ -23,10 +23,15 @@ import (
 	"clgp/internal/memory"
 )
 
-// DynInst is one in-flight dynamic instruction.
+// DynInst is one in-flight dynamic instruction. It holds no Go pointer:
+// instructions live by value in the back-end's window, so the cycle loop
+// moves and updates them without GC write barriers.
 type DynInst struct {
 	// Static is the decoded static instruction.
-	Static *isa.StaticInst
+	Static isa.StaticInst
+	// OffImage marks a wrong-path fetch that ran off the program image;
+	// Static is then the synthetic nop (see SetStatic).
+	OffImage bool
 	// Seq is a global sequence number assigned by the front-end.
 	Seq uint64
 	// WrongPath marks instructions fetched down a mispredicted path; they
@@ -40,64 +45,50 @@ type DynInst struct {
 	// FetchedAt is the cycle the instruction left the fetch stage.
 	FetchedAt uint64
 
-	state instState
-	// slot is the instruction's RUU ring slot while it is dispatched: the
-	// bit it owns in the scheduler masks.
-	slot      uint8
+	state     instState
 	issueAt   uint64
 	completAt uint64
-	memReq    *memory.Request
 	// deps are the in-flight producers of this instruction's source
 	// registers; the instruction may issue only once both have completed.
-	// Each reference carries the producer's sequence number so that a
-	// producer recycled through a Pool (necessarily committed or squashed,
-	// hence done) is recognised and never stalls the consumer.
 	deps [2]depRef
 }
 
-// depRef is a recycling-safe reference to a producer instruction.
+// offImageNop is the static instruction of a wrong-path fetch that ran off
+// the program image: a no-op with no register operands.
+var offImageNop = isa.StaticInst{Class: isa.OpNop, Src1: isa.RegZero, Src2: isa.RegZero, Dst: isa.RegZero}
+
+// SetStatic copies the static instruction si into d, or the synthetic nop
+// (with OffImage set) when si is nil — a wrong-path fetch off the image.
+func (d *DynInst) SetStatic(si *isa.StaticInst) {
+	if si == nil {
+		d.Static, d.OffImage = offImageNop, true
+		return
+	}
+	d.Static, d.OffImage = *si, false
+}
+
+// depRef references a producer by its window position. The reference carries
+// the producer's sequence number, so a position since reused by a younger
+// instruction (the producer committed, hence done) is recognised and never
+// stalls the consumer.
 type depRef struct {
-	d   *DynInst
-	seq uint64
+	pos    uint8
+	linked bool
+	seq    uint64
 }
 
 // done reports whether the referenced producer has completed by cycle now.
-func (r depRef) done(now uint64) bool {
-	if r.d == nil || r.d.Seq != r.seq {
-		// No producer, or the object was recycled for a younger instruction:
-		// the original producer has left the pipeline.
+func (r depRef) done(win *[winSlots]DynInst, now uint64) bool {
+	if !r.linked {
+		return true // no producer
+	}
+	p := &win[r.pos]
+	if p.Seq != r.seq {
+		// The position was reused by a younger instruction: the producer
+		// has left the pipeline.
 		return true
 	}
-	return r.d.state == stateCompleted && r.d.completAt <= now
-}
-
-// Pool is a free-list of DynInsts. The front-end takes instructions from the
-// pool at fetch time and the back-end returns them on commit and squash, so
-// the steady-state cycle loop allocates no instruction objects.
-type Pool struct {
-	free []*DynInst
-}
-
-// NewPool creates an empty pool.
-func NewPool() *Pool { return &Pool{} }
-
-// Get returns a zeroed DynInst, reusing a released one when available.
-func (p *Pool) Get() *DynInst {
-	if n := len(p.free); n > 0 {
-		d := p.free[n-1]
-		p.free = p.free[:n-1]
-		*d = DynInst{}
-		return d
-	}
-	return &DynInst{}
-}
-
-// Put releases an instruction back to the pool. The caller must not touch it
-// afterwards.
-func (p *Pool) Put(d *DynInst) {
-	if d != nil {
-		p.free = append(p.free, d)
-	}
+	return p.state == stateCompleted && p.completAt <= now
 }
 
 type instState uint8
@@ -158,11 +149,20 @@ func (c Config) issueDelay() uint64 {
 	return uint64(d)
 }
 
-// ruuSlots is the RUU ring length and the width of the scheduler masks (one
-// bit per ring slot in a uint64); RUUSize may not exceed it.
+// The instruction window: a fixed ring of winSlots DynInst values holding,
+// in program order, the RUU (at most ruuSlots entries) followed by the
+// fetched-but-not-dispatched instructions (at most FetchQueueCap). The RUU
+// never spans more than ruuSlots consecutive positions, so pos&ruuMask is a
+// distinct scheduler bit per RUU entry and one uint64 holds a bit per entry.
 const (
 	ruuSlots = 64
 	ruuMask  = ruuSlots - 1
+	winSlots = 2 * ruuSlots
+	winMask  = winSlots - 1
+
+	// FetchQueueCap bounds the fetched-but-not-dispatched segment of the
+	// window (the front-end's dispatch queue).
+	FetchQueueCap = winSlots - ruuSlots
 )
 
 // Backend is the back-end model.
@@ -170,19 +170,30 @@ type Backend struct {
 	cfg Config
 	mem *memory.Hierarchy
 
-	// ruu is a fixed ring buffer of in-flight instructions in program order;
-	// logical index 0 (at head) is the oldest. A ring keeps dispatch/commit
-	// allocation-free, and its fixed 64 slots make ring indexing a mask and
-	// let one uint64 hold a bit per slot. Occupancy is capped at RUUSize.
-	ruu     [ruuSlots]*DynInst
-	ruuHead int
-	ruuN    int
+	// win is the instruction window: positions [head, head+ruuN) are the
+	// RUU, oldest first, and [head+ruuN, head+ruuN+fetchN) the fetched
+	// instructions waiting for dispatch. Instructions enter by FetchSlot,
+	// cross into the RUU by Dispatch (which moves the boundary and copies
+	// nothing) and leave by commit or squash, all in program order, so one
+	// ring holds every in-flight instruction by value.
+	win    [winSlots]DynInst
+	head   int
+	ruuN   int
+	fetchN int
+	// committedN is how many instructions the last TickInto committed; they
+	// sit just behind head until FetchSlot reuses their positions.
+	committedN int
 
-	// The scheduler masks, one bit per ring slot, let TickInto visit only
-	// the entries that can act. active holds every entry not yet completed;
-	// blocked the entries parked because a producer is still in flight;
-	// waiters[s] the consumers parked on the producer in slot s. A walk
-	// parks a consumer when it finds a producer unfinished, and finish
+	// memReq holds, per scheduler bit, the data-cache request of a load
+	// waiting on memory (nil otherwise): the one pointer an in-flight
+	// instruction needs, kept out of the window.
+	memReq [ruuSlots]*memory.Request
+
+	// The scheduler masks, one bit per RUU entry (pos&ruuMask), let TickInto
+	// visit only the entries that can act. active holds every entry not yet
+	// completed; blocked the entries parked because a producer is still in
+	// flight; waiters[s] the consumers parked on the producer in bit s. A
+	// walk parks a consumer when it finds a producer unfinished, and finish
 	// releases the producer's waiters, so a parked entry is never visited
 	// until the walk that completes one of its producers.
 	active  uint64
@@ -197,10 +208,6 @@ type Backend struct {
 	// the cache in O(1) instead of re-walking the RUU on every skip attempt.
 	nextEv   uint64
 	readyNow bool
-
-	// pool, when set, receives committed and squashed instructions so their
-	// objects are recycled by the front-end.
-	pool *Pool
 
 	// regProducer tracks, per architectural register, the most recently
 	// dispatched correct-path instruction that writes it (the scoreboard).
@@ -225,13 +232,6 @@ func New(cfg Config, mem *memory.Hierarchy) (*Backend, error) {
 	return &Backend{cfg: cfg, mem: mem, nextEv: clock.None}, nil
 }
 
-// SetPool attaches a DynInst pool; committed and squashed instructions are
-// released to it. Without a pool the caller owns released instructions.
-func (b *Backend) SetPool(p *Pool) { b.pool = p }
-
-// ruuAt returns the instruction at logical index i (0 = oldest).
-func (b *Backend) ruuAt(i int) *DynInst { return b.ruu[(b.ruuHead+i)&ruuMask] }
-
 // MustNew is New but panics on configuration errors.
 func MustNew(cfg Config, mem *memory.Hierarchy) *Backend {
 	b, err := New(cfg, mem)
@@ -250,6 +250,9 @@ func (b *Backend) FreeSlots() int { return b.cfg.RUUSize - b.ruuN }
 // Occupancy returns the number of instructions in the RUU.
 func (b *Backend) Occupancy() int { return b.ruuN }
 
+// Fetched returns the number of fetched instructions waiting for dispatch.
+func (b *Backend) Fetched() int { return b.fetchN }
+
 // Committed returns the number of committed (correct-path) instructions.
 func (b *Backend) Committed() uint64 { return b.committed }
 
@@ -259,14 +262,29 @@ func (b *Backend) SquashedWrongPath() uint64 { return b.wrongSquash }
 // ResolvedMispredictions returns how many mispredicted branches resolved.
 func (b *Backend) ResolvedMispredictions() uint64 { return b.resolvedMisp }
 
-// Dispatch inserts an instruction into the RUU at cycle now. It returns
-// false when the RUU is full (the caller must retry next cycle). At most
-// Width instructions should be dispatched per cycle; the caller enforces
-// that (it is the same limit as the fetch width).
-func (b *Backend) Dispatch(d *DynInst, now uint64) bool {
-	if b.ruuN >= b.cfg.RUUSize {
+// FetchSlot appends one zeroed instruction to the fetched segment and returns
+// it for the front-end to fill; it stays valid until the instruction leaves
+// the window. At most FetchQueueCap instructions may wait for dispatch.
+func (b *Backend) FetchSlot() *DynInst {
+	if b.fetchN >= FetchQueueCap {
+		panic("pipeline: fetch queue overflow")
+	}
+	d := &b.win[(b.head+b.ruuN+b.fetchN)&winMask]
+	*d = DynInst{}
+	b.fetchN++
+	return d
+}
+
+// Dispatch moves the oldest fetched instruction into the RUU at cycle now. It
+// returns false when nothing is fetched or the RUU is full (the caller must
+// retry next cycle). At most Width instructions should be dispatched per
+// cycle; the caller enforces that (it is the same limit as the fetch width).
+func (b *Backend) Dispatch(now uint64) bool {
+	if b.fetchN == 0 || b.ruuN >= b.cfg.RUUSize {
 		return false
 	}
+	pos := (b.head + b.ruuN) & winMask
+	d := &b.win[pos]
 	d.state = stateDispatched
 	d.issueAt = now + b.cfg.issueDelay()
 	if !d.WrongPath {
@@ -279,14 +297,12 @@ func (b *Backend) Dispatch(d *DynInst, now uint64) bool {
 			d.deps[1] = b.regProducer[d.Static.Src2]
 		}
 		if d.Static.Dst != isa.RegZero {
-			b.regProducer[d.Static.Dst] = depRef{d: d, seq: d.Seq}
+			b.regProducer[d.Static.Dst] = depRef{pos: uint8(pos), linked: true, seq: d.Seq}
 		}
 	}
-	slot := (b.ruuHead + b.ruuN) & ruuMask
-	b.ruu[slot] = d
-	d.slot = uint8(slot)
-	b.active |= 1 << slot
+	b.active |= 1 << (pos & ruuMask)
 	b.ruuN++
+	b.fetchN--
 	// The new instruction's earliest action is its issue slot; fold it into
 	// the cached horizon (dispatch happens after this cycle's TickInto, so
 	// the tick's recomputation did not see it).
@@ -296,39 +312,29 @@ func (b *Backend) Dispatch(d *DynInst, now uint64) bool {
 
 // depsReady reports whether every source producer of d has completed by
 // cycle now.
-func depsReady(d *DynInst, now uint64) bool {
-	return d.deps[0].done(now) && d.deps[1].done(now)
+func (b *Backend) depsReady(d *DynInst, now uint64) bool {
+	return d.deps[0].done(&b.win, now) && d.deps[1].done(&b.win, now)
 }
 
-// park records that d, past its issue delay, waits on an in-flight producer:
-// d leaves the walk until the producer's finish releases it. A consumer
-// waiting on two producers parks on both; whichever finishes first releases
-// it, and the next visit re-parks it on the other.
-func (b *Backend) park(d *DynInst, now uint64) {
-	bit := uint64(1) << d.slot
+// park records that d, whose scheduler mask bit is bit, past its issue delay
+// waits on an in-flight producer: d leaves the walk until the producer's
+// finish releases it. A consumer waiting on two producers parks on both; whichever finishes
+// first releases it, and the next visit re-parks it on the other.
+func (b *Backend) park(d *DynInst, bit uint64, now uint64) {
 	for _, r := range d.deps {
-		if !r.done(now) {
-			b.waiters[r.d.slot] |= bit
+		if !r.done(&b.win, now) {
+			b.waiters[r.pos&ruuMask] |= bit
 		}
 	}
 	b.blocked |= bit
 }
 
-// Tick advances execution and commit by one cycle. It returns the
-// instructions committed this cycle and, if a mispredicted branch completed
-// execution this cycle, that branch (resolution); the caller then flushes
-// the front-end and calls SquashWrongPath. Tick allocates the committed
-// slice; the core's cycle loop uses TickInto with a reusable buffer instead.
-func (b *Backend) Tick(now uint64) (committed []*DynInst, resolved *DynInst) {
-	return b.TickInto(now, nil)
-}
-
-// TickInto is Tick appending the committed instructions into buf (which may
-// be nil) and returning the extended slice. With a buffer of capacity Width
-// it performs no allocations. Committed instructions are NOT released to the
-// pool — the caller consumes them (stats, training) and releases them.
-func (b *Backend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst, resolved *DynInst) {
-	committed = buf
+// TickInto advances execution and commit by one cycle. It returns how many
+// instructions committed this cycle (read them with CommittedAt) and whether
+// a mispredicted branch completed execution this cycle (resolution); the
+// caller then flushes the front-end and calls SquashWrongPath.
+func (b *Backend) TickInto(now uint64) (committed int, resolved bool) {
+	b.committedN = 0
 	// Idle gate: when the cached horizon proves no entry can issue, release,
 	// complete or commit at `now`, the walk is a no-op — skip it. The proof
 	// leans on the scheduler's own invariant: a parked entry becomes ready
@@ -342,11 +348,11 @@ func (b *Backend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst, re
 	// the gate elides provably dead walks, not cycles, so both clock modes
 	// see identical machine states.
 	if b.ruuN > 0 && !b.readyNow && b.nextEv > now {
-		return committed, nil
+		return 0, false
 	}
 	// Issue / execute. The walk visits, in program order, only the entries
 	// that can act: active (not completed) and not parked on a producer.
-	// Rotating the masks by the ring head puts program order in bit order;
+	// Rotating the masks by the head's bit puts program order in bit order;
 	// the mask is re-read after every entry because a completion releases
 	// younger consumers, which can issue in this same cycle. The walk
 	// doubles as the horizon recomputation: every entry it visits
@@ -360,13 +366,16 @@ func (b *Backend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst, re
 	var seen uint64
 walk:
 	for {
-		pending := bits.RotateLeft64(b.active&^b.blocked, -b.ruuHead) &^ seen
+		pending := bits.RotateLeft64(b.active&^b.blocked, -b.head) &^ seen
 		if pending == 0 {
 			break
 		}
 		i := bits.TrailingZeros64(pending)
 		seen = 2<<i - 1 // bits 0..i; wraps to all ones at i = 63
-		d := b.ruu[(b.ruuHead+i)&ruuMask]
+		pos := (b.head + i) & winMask
+		s := pos & ruuMask
+		bit := uint64(1) << s
+		d := &b.win[pos]
 		switch d.state {
 		case stateDispatched:
 			if now < d.issueAt {
@@ -376,8 +385,8 @@ walk:
 				nextEv = clock.Min(nextEv, d.issueAt)
 				break walk
 			}
-			if !depsReady(d, now) {
-				b.park(d, now)
+			if !b.depsReady(d, now) {
+				b.park(d, bit, now)
 				continue
 			}
 			if issued >= b.cfg.Width {
@@ -386,10 +395,10 @@ walk:
 				continue
 			}
 			issued++
-			b.issue(d, now)
+			b.issue(d, s, now)
 			if d.state == stateWaitingMem {
-				if d.memReq != nil {
-					nextEv = clock.Min(nextEv, d.memReq.NextEvent(now))
+				if req := b.memReq[s]; req != nil {
+					nextEv = clock.Min(nextEv, req.NextEvent(now))
 				} else {
 					readyNow = true
 				}
@@ -397,47 +406,47 @@ walk:
 				nextEv = clock.Min(nextEv, d.completAt)
 			}
 		case stateWaitingMem:
-			if d.memReq == nil {
+			if req := b.memReq[s]; req == nil {
 				readyNow = true
-			} else if d.memReq.Ready(now) {
+			} else if req.Ready(now) {
 				if b.mem != nil {
-					b.mem.Release(d.memReq)
+					b.mem.Release(req)
 				}
-				d.memReq = nil
+				b.memReq[s] = nil
 				d.completAt = now
-				b.finish(d)
+				b.finish(d, s)
 			} else {
-				nextEv = clock.Min(nextEv, d.memReq.NextEvent(now))
+				nextEv = clock.Min(nextEv, req.NextEvent(now))
 			}
 		case stateIssued:
 			if now >= d.completAt {
-				b.finish(d)
+				b.finish(d, s)
 			} else {
 				nextEv = clock.Min(nextEv, d.completAt)
 			}
 		}
-		if d.state == stateCompleted && d.MispredictedBranch && resolved == nil && d.completAt == now {
-			resolved = d
+		if d.state == stateCompleted && d.MispredictedBranch && !resolved && d.completAt == now {
+			resolved = true
 			b.resolvedMisp++
 		}
 	}
 
 	// In-order commit of up to Width completed correct-path instructions.
-	for b.ruuN > 0 && len(committed)-len(buf) < b.cfg.Width {
-		head := b.ruu[b.ruuHead]
+	for b.ruuN > 0 && committed < b.cfg.Width {
+		head := &b.win[b.head]
 		if head.WrongPath || head.state != stateCompleted || head.completAt > now {
 			break
 		}
-		b.ruu[b.ruuHead] = nil
-		b.ruuHead = (b.ruuHead + 1) & ruuMask
+		b.head = (b.head + 1) & winMask
 		b.ruuN--
 		b.committed++
-		committed = append(committed, head)
+		committed++
 	}
+	b.committedN = committed
 	// A still-committable head (width-limited commit, or completed behind the
 	// instructions committed above) is same-cycle work.
 	if b.ruuN > 0 {
-		if head := b.ruu[b.ruuHead]; !head.WrongPath && head.state == stateCompleted {
+		if head := &b.win[b.head]; !head.WrongPath && head.state == stateCompleted {
 			readyNow = true
 		}
 	}
@@ -445,14 +454,21 @@ walk:
 	return committed, resolved
 }
 
-// issue starts execution of d at cycle now.
-func (b *Backend) issue(d *DynInst, now uint64) {
+// CommittedAt returns the i-th (oldest first) of the instructions the last
+// TickInto committed. It is valid until the next FetchSlot, which may reuse
+// the position.
+func (b *Backend) CommittedAt(i int) *DynInst {
+	return &b.win[(b.head-b.committedN+i)&winMask]
+}
+
+// issue starts execution of d, scheduler bit s, at cycle now.
+func (b *Backend) issue(d *DynInst, s int, now uint64) {
 	cls := d.Static.Class
 	switch {
 	case cls == isa.OpLoad:
 		b.loadsExec++
 		if b.mem != nil && !d.WrongPath {
-			d.memReq = b.mem.AccessData(d.EffAddr, now, false)
+			b.memReq[s] = b.mem.AccessData(d.EffAddr, now, false)
 			d.state = stateWaitingMem
 			return
 		}
@@ -473,13 +489,13 @@ func (b *Backend) issue(d *DynInst, now uint64) {
 	}
 }
 
-// finish marks d complete: it leaves the active set and releases the
-// consumers parked on it.
-func (b *Backend) finish(d *DynInst) {
+// finish marks d (scheduler bit s) complete: it leaves the active set and
+// releases the consumers parked on it.
+func (b *Backend) finish(d *DynInst, s int) {
 	d.state = stateCompleted
-	b.active &^= 1 << d.slot
-	b.blocked &^= b.waiters[d.slot]
-	b.waiters[d.slot] = 0
+	b.active &^= 1 << s
+	b.blocked &^= b.waiters[s]
+	b.waiters[s] = 0
 }
 
 // NextEvent returns the earliest cycle, at or after now, at which Tick could
@@ -520,29 +536,25 @@ func (b *Backend) NextEvent(now uint64) uint64 {
 	return b.nextEv
 }
 
-// SquashWrongPath removes every wrong-path instruction from the RUU. The
-// core calls it when the mispredicted branch resolves. Wrong-path
-// instructions are always the youngest — everything dispatched after the
-// branch — so the squash truncates that suffix. Squashed instructions are
-// released to the pool when one is attached. It returns the number of
-// squashed instructions.
+// SquashWrongPath drops the fetched segment and removes every wrong-path
+// instruction from the RUU. The core calls it when the mispredicted branch
+// resolves: everything fetched after that branch is wrong-path, and
+// wrong-path instructions are always the youngest in the RUU — everything
+// dispatched after the branch — so the squash truncates that suffix. It
+// returns the number of squashed RUU entries.
 func (b *Backend) SquashWrongPath() int {
+	b.fetchN = 0
 	n := 0
 	for b.ruuN > 0 {
-		slot := (b.ruuHead + b.ruuN - 1) & ruuMask
-		d := b.ruu[slot]
-		if !d.WrongPath {
+		pos := (b.head + b.ruuN - 1) & winMask
+		if !b.win[pos].WrongPath {
 			break
 		}
-		// Wrong-path instructions carry no dependences, so none is parked
-		// and none has parked consumers.
-		b.active &^= 1 << slot
-		b.ruu[slot] = nil
+		// Wrong-path instructions carry no dependences and hold no memory
+		// request, so none is parked and none has parked consumers.
+		b.active &^= 1 << (pos & ruuMask)
 		b.ruuN--
 		n++
-		if b.pool != nil {
-			b.pool.Put(d)
-		}
 	}
 	b.wrongSquash += uint64(n)
 	// The cached horizon still counts the squashed entries; rather than
@@ -560,5 +572,5 @@ func (b *Backend) OldestUncommitted() (uint64, bool) {
 	if b.ruuN == 0 {
 		return 0, false
 	}
-	return b.ruu[b.ruuHead].Seq, true
+	return b.win[b.head].Seq, true
 }

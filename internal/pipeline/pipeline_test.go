@@ -12,8 +12,28 @@ func alu(pc isa.Addr, src1, src2, dst uint8) *isa.StaticInst {
 	return &isa.StaticInst{PC: pc, Class: isa.OpALU, Src1: src1, Src2: src2, Dst: dst}
 }
 
-func dyn(si *isa.StaticInst, seq uint64) *DynInst {
-	return &DynInst{Static: si, Seq: seq}
+// fetch appends si as b's next fetched instruction and returns it, so the
+// caller can set its fields before Dispatch.
+func fetch(b *Backend, si *isa.StaticInst, seq uint64) *DynInst {
+	d := b.FetchSlot()
+	d.SetStatic(si)
+	d.Seq = seq
+	return d
+}
+
+// dispatch fetches si and dispatches it at cycle now.
+func dispatch(b *Backend, si *isa.StaticInst, seq, now uint64) bool {
+	fetch(b, si, seq)
+	return b.Dispatch(now)
+}
+
+// tick runs one TickInto and returns copies of the committed instructions.
+func tick(b *Backend, now uint64) (committed []DynInst, resolved bool) {
+	n, resolved := b.TickInto(now)
+	for i := 0; i < n; i++ {
+		committed = append(committed, *b.CommittedAt(i))
+	}
+	return committed, resolved
 }
 
 // run ticks the backend until all dispatched instructions commit or maxCycles
@@ -22,7 +42,7 @@ func runUntilDrained(t *testing.T, b *Backend, start uint64, maxCycles int) uint
 	t.Helper()
 	now := start
 	for i := 0; i < maxCycles; i++ {
-		b.Tick(now)
+		b.TickInto(now)
 		if b.Drained() {
 			return now
 		}
@@ -68,11 +88,11 @@ func TestDispatchCapacity(t *testing.T) {
 		t.Errorf("FreeSlots = %d", b.FreeSlots())
 	}
 	for i := 0; i < 8; i++ {
-		if !b.Dispatch(dyn(alu(isa.Addr(i*4), 1, 2, 3), uint64(i)), 0) {
+		if !dispatch(b, alu(isa.Addr(i*4), 1, 2, 3), uint64(i), 0) {
 			t.Fatalf("dispatch %d should succeed", i)
 		}
 	}
-	if b.Dispatch(dyn(alu(0x100, 1, 2, 3), 99), 0) {
+	if dispatch(b, alu(0x100, 1, 2, 3), 99, 0) {
 		t.Errorf("dispatch into a full RUU should fail")
 	}
 	if b.FreeSlots() != 0 || b.Occupancy() != 8 {
@@ -89,7 +109,7 @@ func TestIndependentInstructionsCommitAtFullWidth(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// All independent (distinct registers, sources from the zero reg).
 		si := alu(isa.Addr(i*4), isa.RegZero, isa.RegZero, uint8(1+i%30))
-		if !b.Dispatch(dyn(si, uint64(i)), 0) {
+		if !dispatch(b, si, uint64(i), 0) {
 			t.Fatalf("dispatch failed at %d", i)
 		}
 	}
@@ -97,11 +117,11 @@ func TestIndependentInstructionsCommitAtFullWidth(t *testing.T) {
 	maxPerCycle := 0
 	now := uint64(0)
 	for totalCommitted < n && now < 100 {
-		committed, _ := b.Tick(now)
-		if len(committed) > maxPerCycle {
-			maxPerCycle = len(committed)
+		committed, _ := b.TickInto(now)
+		if committed > maxPerCycle {
+			maxPerCycle = committed
 		}
-		totalCommitted += len(committed)
+		totalCommitted += committed
 		now++
 	}
 	if totalCommitted != n {
@@ -120,13 +140,13 @@ func TestCommitIsInOrder(t *testing.T) {
 	// First instruction is a long-latency FP op; the rest are independent
 	// ALU ops. Nothing may commit before the FP op does.
 	fp := &isa.StaticInst{PC: 0, Class: isa.OpFP, Src1: isa.RegZero, Src2: isa.RegZero, Dst: 5}
-	b.Dispatch(dyn(fp, 0), 0)
+	dispatch(b, fp, 0, 0)
 	for i := 1; i < 10; i++ {
-		b.Dispatch(dyn(alu(isa.Addr(i*4), isa.RegZero, isa.RegZero, uint8(10+i)), uint64(i)), 0)
+		dispatch(b, alu(isa.Addr(i*4), isa.RegZero, isa.RegZero, uint8(10+i)), uint64(i), 0)
 	}
 	var order []uint64
 	for now := uint64(0); now < 60 && b.Occupancy() > 0; now++ {
-		committed, _ := b.Tick(now)
+		committed, _ := tick(b, now)
 		for _, d := range committed {
 			order = append(order, d.Seq)
 		}
@@ -153,11 +173,11 @@ func TestDataDependenceSerialisation(t *testing.T) {
 				src = uint8(1 + (i-1)%30)
 			}
 			si := &isa.StaticInst{PC: isa.Addr(i * 4), Class: isa.OpMul, Src1: src, Src2: isa.RegZero, Dst: uint8(1 + i%30)}
-			b.Dispatch(dyn(si, uint64(i)), 0)
+			dispatch(b, si, uint64(i), 0)
 		}
 		now := uint64(0)
 		for b.Occupancy() > 0 && now < 1000 {
-			b.Tick(now)
+			b.TickInto(now)
 			now++
 		}
 		return now
@@ -173,13 +193,13 @@ func TestLoadsAccessTheDataCache(t *testing.T) {
 	mem := memory.MustNew(memory.DefaultConfig(cacti.Tech45, 4<<10))
 	b := MustNew(DefaultConfig(), mem)
 	ld := &isa.StaticInst{PC: 0, Class: isa.OpLoad, Src1: isa.RegZero, Src2: isa.RegZero, Dst: 7}
-	d := dyn(ld, 0)
+	d := fetch(b, ld, 0)
 	d.EffAddr = 0x9000_0000
-	b.Dispatch(d, 0)
+	b.Dispatch(0)
 	now := uint64(0)
 	for b.Occupancy() > 0 && now < 1000 {
 		mem.Tick(now)
-		b.Tick(now)
+		b.TickInto(now)
 		now++
 	}
 	if b.Occupancy() != 0 {
@@ -194,9 +214,9 @@ func TestLoadsAccessTheDataCache(t *testing.T) {
 	}
 	// A second load to the same line is fast.
 	b2 := MustNew(DefaultConfig(), mem)
-	d2 := dyn(ld, 1)
+	d2 := fetch(b2, ld, 1)
 	d2.EffAddr = 0x9000_0008
-	b2.Dispatch(d2, 1000)
+	b2.Dispatch(1000)
 	start := uint64(1000)
 	end := runUntilDrained(t, b2, start, 100)
 	if end-start > 20 {
@@ -208,9 +228,9 @@ func TestStoresDoNotBlockCommit(t *testing.T) {
 	mem := memory.MustNew(memory.DefaultConfig(cacti.Tech45, 4<<10))
 	b := MustNew(DefaultConfig(), mem)
 	st := &isa.StaticInst{PC: 0, Class: isa.OpStore, Src1: 3, Src2: isa.RegZero, Dst: isa.RegZero}
-	d := dyn(st, 0)
+	d := fetch(b, st, 0)
 	d.EffAddr = 0xa000_0000
-	b.Dispatch(d, 0)
+	b.Dispatch(0)
 	end := runUntilDrained(t, b, 0, 50)
 	if end > 20 {
 		t.Errorf("store took %d cycles to commit", end)
@@ -222,31 +242,33 @@ func TestMispredictedBranchResolution(t *testing.T) {
 	// Correct-path branch marked mispredicted, followed by wrong-path
 	// instructions.
 	br := &isa.StaticInst{PC: 0x100, Class: isa.OpBranch, Src1: 2, Src2: isa.RegZero, Dst: isa.RegZero, Target: 0x500}
-	bd := dyn(br, 0)
+	bd := fetch(b, br, 0)
 	bd.MispredictedBranch = true
-	b.Dispatch(bd, 0)
+	b.Dispatch(0)
 	for i := 1; i <= 6; i++ {
-		wd := dyn(alu(isa.Addr(0x200+i*4), isa.RegZero, isa.RegZero, uint8(i)), uint64(i))
+		wd := fetch(b, alu(isa.Addr(0x200+i*4), isa.RegZero, isa.RegZero, uint8(i)), uint64(i))
 		wd.WrongPath = true
-		b.Dispatch(wd, 0)
+		b.Dispatch(0)
 	}
 
 	var resolvedAt uint64
-	var resolved *DynInst
+	resolved := false
 	now := uint64(0)
 	for ; now < 100; now++ {
-		_, r := b.Tick(now)
-		if r != nil {
-			resolved = r
+		if _, r := b.TickInto(now); r {
+			resolved = true
 			resolvedAt = now
 			break
 		}
 	}
-	if resolved == nil {
+	if !resolved {
 		t.Fatalf("misprediction never resolved")
 	}
-	if resolved.Seq != 0 {
-		t.Errorf("resolved the wrong instruction: seq %d", resolved.Seq)
+	// The resolution is the branch's own completion (seq 0; its window
+	// position is not reused, as nothing more is fetched).
+	if bd.Seq != 0 || bd.state != stateCompleted || bd.completAt != resolvedAt {
+		t.Errorf("resolution at cycle %d is not the branch's completion: seq %d state %d completed at %d",
+			resolvedAt, bd.Seq, bd.state, bd.completAt)
 	}
 	// Resolution must take at least the dispatch-to-execute portion of the
 	// 15-stage pipeline.
@@ -264,7 +286,7 @@ func TestMispredictedBranchResolution(t *testing.T) {
 	// Only the branch itself ever commits (it may already have committed in
 	// the same cycle it resolved).
 	for ; now < 200 && b.Occupancy() > 0; now++ {
-		b.Tick(now)
+		b.TickInto(now)
 	}
 	if b.Committed() != 1 {
 		t.Errorf("committed %d instructions, want only the branch", b.Committed())
@@ -278,17 +300,16 @@ func TestWrongPathInstructionsNeverCommit(t *testing.T) {
 	b := MustNew(DefaultConfig(), nil)
 	// Wrong-path instructions follow the (correct-path) instruction before
 	// them in program order, as the front-end delivers them.
-	c := dyn(alu(0x10, isa.RegZero, isa.RegZero, 4), 0)
-	b.Dispatch(c, 0)
-	w := dyn(alu(0x14, isa.RegZero, isa.RegZero, 3), 1)
+	dispatch(b, alu(0x10, isa.RegZero, isa.RegZero, 4), 0, 0)
+	w := fetch(b, alu(0x14, isa.RegZero, isa.RegZero, 3), 1)
 	w.WrongPath = true
-	b.Dispatch(w, 0)
+	b.Dispatch(0)
 	// Even after many cycles only the correct-path instruction commits; the
 	// completed wrong-path instruction then blocks commit at the head until
 	// the squash.
 	total := 0
 	for now := uint64(0); now < 30; now++ {
-		committed, _ := b.Tick(now)
+		committed, _ := tick(b, now)
 		for _, d := range committed {
 			if d.WrongPath {
 				t.Fatalf("committed wrong-path instruction seq %d", d.Seq)
@@ -312,12 +333,11 @@ func TestWrongPathDoesNotPolluteScoreboard(t *testing.T) {
 	// A wrong-path FP instruction writes r5 very late; a correct-path ALU
 	// instruction reading r5, dispatched after the squash, must not wait for
 	// it.
-	w := dyn(&isa.StaticInst{PC: 0, Class: isa.OpFP, Src1: isa.RegZero, Src2: isa.RegZero, Dst: 5}, 0)
+	w := fetch(b, &isa.StaticInst{PC: 0, Class: isa.OpFP, Src1: isa.RegZero, Src2: isa.RegZero, Dst: 5}, 0)
 	w.WrongPath = true
-	b.Dispatch(w, 0)
+	b.Dispatch(0)
 	b.SquashWrongPath()
-	c := dyn(alu(0x4, 5, isa.RegZero, 6), 1)
-	b.Dispatch(c, 0)
+	dispatch(b, alu(0x4, 5, isa.RegZero, 6), 1, 0)
 	end := runUntilDrained(t, b, 0, 40)
 	if end > 20 {
 		t.Errorf("correct-path instruction waited %d cycles on a squashed producer", end)
@@ -334,11 +354,11 @@ func TestIPCIsBoundedByWidth(t *testing.T) {
 		// Dispatch up to 4 independent instructions per cycle.
 		for w := 0; w < 4 && dispatched < n && b.FreeSlots() > 0; w++ {
 			si := alu(isa.Addr(dispatched*4), isa.RegZero, isa.RegZero, uint8(1+dispatched%30))
-			b.Dispatch(dyn(si, uint64(dispatched)), now)
+			dispatch(b, si, uint64(dispatched), now)
 			dispatched++
 		}
-		c, _ := b.Tick(now)
-		committed += len(c)
+		c, _ := b.TickInto(now)
+		committed += c
 		now++
 	}
 	ipc := float64(committed) / float64(now)

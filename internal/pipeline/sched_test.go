@@ -14,23 +14,24 @@ import (
 )
 
 // refBackend is the reference scheduler for the differential test: it walks
-// every RUU entry on every tick. Its dispatch, issue and commit rules are the
-// Backend's; only the choice of which entries to visit differs. Its squash
-// compacts any wrong-path entries out of the ring, and reports whether they
-// formed the suffix the Backend's squash relies on.
+// every RUU entry on every tick. Its window layout and its dispatch, issue
+// and commit rules are the Backend's; only the choice of which entries to
+// visit differs. Its squash compacts any wrong-path entries out of the RUU,
+// and reports whether they formed the suffix the Backend's squash relies on.
 type refBackend struct {
 	cfg Config
 	mem *memory.Hierarchy
 
-	ruu     []*DynInst
-	ruuMask int
-	ruuHead int
-	ruuN    int
+	win        [winSlots]DynInst
+	memReq     [winSlots]*memory.Request
+	head       int
+	ruuN       int
+	fetchN     int
+	committedN int
 
 	nextEv   uint64
 	readyNow bool
 
-	pool        *Pool
 	regProducer [isa.NumRegs]depRef
 
 	committed    uint64
@@ -44,26 +45,36 @@ type refBackend struct {
 	squashNotSuffix bool
 }
 
-func newRefBackend(cfg Config, mem *memory.Hierarchy, pool *Pool) *refBackend {
+func newRefBackend(cfg Config, mem *memory.Hierarchy) *refBackend {
 	cfg, err := cfg.normalise()
 	if err != nil {
 		panic(err)
 	}
-	ringLen := 1
-	for ringLen < cfg.RUUSize {
-		ringLen <<= 1
-	}
-	return &refBackend{cfg: cfg, mem: mem, ruu: make([]*DynInst, ringLen), ruuMask: ringLen - 1, nextEv: clock.None, pool: pool}
+	return &refBackend{cfg: cfg, mem: mem, nextEv: clock.None}
 }
 
-func (b *refBackend) ruuAt(i int) *DynInst { return b.ruu[(b.ruuHead+i)&b.ruuMask] }
+func (b *refBackend) ruuAt(i int) *DynInst { return &b.win[(b.head+i)&winMask] }
 
 func (b *refBackend) FreeSlots() int { return b.cfg.RUUSize - b.ruuN }
 
-func (b *refBackend) Dispatch(d *DynInst, now uint64) bool {
-	if b.ruuN >= b.cfg.RUUSize {
+func (b *refBackend) Fetched() int { return b.fetchN }
+
+func (b *refBackend) FetchSlot() *DynInst {
+	if b.fetchN >= FetchQueueCap {
+		panic("reference: fetch queue overflow")
+	}
+	d := &b.win[(b.head+b.ruuN+b.fetchN)&winMask]
+	*d = DynInst{}
+	b.fetchN++
+	return d
+}
+
+func (b *refBackend) Dispatch(now uint64) bool {
+	if b.fetchN == 0 || b.ruuN >= b.cfg.RUUSize {
 		return false
 	}
+	pos := (b.head + b.ruuN) & winMask
+	d := &b.win[pos]
 	d.state = stateDispatched
 	d.issueAt = now + b.cfg.issueDelay()
 	if !d.WrongPath {
@@ -74,32 +85,33 @@ func (b *refBackend) Dispatch(d *DynInst, now uint64) bool {
 			d.deps[1] = b.regProducer[d.Static.Src2]
 		}
 		if d.Static.Dst != isa.RegZero {
-			b.regProducer[d.Static.Dst] = depRef{d: d, seq: d.Seq}
+			b.regProducer[d.Static.Dst] = depRef{pos: uint8(pos), linked: true, seq: d.Seq}
 		}
 	}
-	b.ruu[(b.ruuHead+b.ruuN)&b.ruuMask] = d
 	b.ruuN++
+	b.fetchN--
 	b.nextEv = clock.Min(b.nextEv, d.issueAt)
 	return true
 }
 
-func (b *refBackend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst, resolved *DynInst) {
-	committed = buf
+func (b *refBackend) TickInto(now uint64) (committed int, resolved bool) {
+	b.committedN = 0
 	if b.ruuN > 0 && !b.readyNow && b.nextEv > now {
-		return committed, nil
+		return 0, false
 	}
 	nextEv := clock.None
 	readyNow := false
 	issued := 0
 	for i := 0; i < b.ruuN; i++ {
-		d := b.ruuAt(i)
+		pos := (b.head + i) & winMask
+		d := &b.win[pos]
 		switch d.state {
 		case stateDispatched:
 			if now < d.issueAt {
 				nextEv = clock.Min(nextEv, d.issueAt)
 				continue
 			}
-			if !depsReady(d, now) {
+			if !d.deps[0].done(&b.win, now) || !d.deps[1].done(&b.win, now) {
 				continue
 			}
 			if issued >= b.cfg.Width {
@@ -107,10 +119,10 @@ func (b *refBackend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst,
 				continue
 			}
 			issued++
-			b.issue(d, now)
+			b.issue(d, pos, now)
 			if d.state == stateWaitingMem {
-				if d.memReq != nil {
-					nextEv = clock.Min(nextEv, d.memReq.NextEvent(now))
+				if b.memReq[pos] != nil {
+					nextEv = clock.Min(nextEv, b.memReq[pos].NextEvent(now))
 				} else {
 					readyNow = true
 				}
@@ -118,17 +130,17 @@ func (b *refBackend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst,
 				nextEv = clock.Min(nextEv, d.completAt)
 			}
 		case stateWaitingMem:
-			if d.memReq == nil {
+			if b.memReq[pos] == nil {
 				readyNow = true
-			} else if d.memReq.Ready(now) {
+			} else if b.memReq[pos].Ready(now) {
 				if b.mem != nil {
-					b.mem.Release(d.memReq)
+					b.mem.Release(b.memReq[pos])
 				}
-				d.memReq = nil
+				b.memReq[pos] = nil
 				d.completAt = now
 				d.state = stateCompleted
 			} else {
-				nextEv = clock.Min(nextEv, d.memReq.NextEvent(now))
+				nextEv = clock.Min(nextEv, b.memReq[pos].NextEvent(now))
 			}
 		case stateIssued:
 			if now >= d.completAt {
@@ -137,24 +149,24 @@ func (b *refBackend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst,
 				nextEv = clock.Min(nextEv, d.completAt)
 			}
 		}
-		if d.state == stateCompleted && d.MispredictedBranch && resolved == nil && d.completAt == now {
-			resolved = d
+		if d.state == stateCompleted && d.MispredictedBranch && !resolved && d.completAt == now {
+			resolved = true
 			b.resolvedMisp++
 		}
 	}
-	for b.ruuN > 0 && len(committed)-len(buf) < b.cfg.Width {
-		head := b.ruu[b.ruuHead]
+	for b.ruuN > 0 && committed < b.cfg.Width {
+		head := &b.win[b.head]
 		if head.WrongPath || head.state != stateCompleted || head.completAt > now {
 			break
 		}
-		b.ruu[b.ruuHead] = nil
-		b.ruuHead = (b.ruuHead + 1) & b.ruuMask
+		b.head = (b.head + 1) & winMask
 		b.ruuN--
 		b.committed++
-		committed = append(committed, head)
+		committed++
 	}
+	b.committedN = committed
 	if b.ruuN > 0 {
-		if head := b.ruu[b.ruuHead]; !head.WrongPath && head.state == stateCompleted {
+		if head := &b.win[b.head]; !head.WrongPath && head.state == stateCompleted {
 			readyNow = true
 		}
 	}
@@ -162,13 +174,17 @@ func (b *refBackend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst,
 	return committed, resolved
 }
 
-func (b *refBackend) issue(d *DynInst, now uint64) {
+func (b *refBackend) CommittedAt(i int) *DynInst {
+	return &b.win[(b.head-b.committedN+i)&winMask]
+}
+
+func (b *refBackend) issue(d *DynInst, pos int, now uint64) {
 	cls := d.Static.Class
 	switch {
 	case cls == isa.OpLoad:
 		b.loadsExec++
 		if b.mem != nil && !d.WrongPath {
-			d.memReq = b.mem.AccessData(d.EffAddr, now, false)
+			b.memReq[pos] = b.mem.AccessData(d.EffAddr, now, false)
 			d.state = stateWaitingMem
 			return
 		}
@@ -198,25 +214,21 @@ func (b *refBackend) NextEvent(now uint64) uint64 {
 }
 
 func (b *refBackend) SquashWrongPath() int {
+	b.fetchN = 0
 	n := 0
 	w := 0
 	for r := 0; r < b.ruuN; r++ {
 		d := b.ruuAt(r)
 		if d.WrongPath {
 			n++
-			if b.pool != nil {
-				b.pool.Put(d)
-			}
 			continue
 		}
 		if n > 0 {
 			b.squashNotSuffix = true
 		}
-		b.ruu[(b.ruuHead+w)&b.ruuMask] = d
+		from, to := (b.head+r)&winMask, (b.head+w)&winMask
+		b.win[to], b.memReq[to] = *d, b.memReq[from]
 		w++
-	}
-	for i := w; i < b.ruuN; i++ {
-		b.ruu[(b.ruuHead+i)&b.ruuMask] = nil
 	}
 	b.ruuN = w
 	b.wrongSquash += uint64(n)
@@ -227,11 +239,14 @@ func (b *refBackend) SquashWrongPath() int {
 // scheduler is the surface the differential driver exercises; Backend and
 // refBackend both implement it.
 type scheduler interface {
-	Dispatch(d *DynInst, now uint64) bool
-	TickInto(now uint64, buf []*DynInst) ([]*DynInst, *DynInst)
+	FetchSlot() *DynInst
+	Dispatch(now uint64) bool
+	TickInto(now uint64) (committed int, resolved bool)
+	CommittedAt(i int) *DynInst
 	SquashWrongPath() int
 	NextEvent(now uint64) uint64
 	FreeSlots() int
+	Fetched() int
 }
 
 // streamOp is one instruction of a generated stream. A mispredicted branch
@@ -303,22 +318,26 @@ func genStream(seed int64, n int) ([]streamOp, []*isa.StaticInst) {
 }
 
 // streamDriver feeds one scheduler a stream the way the core does: tick,
-// squash on resolution, then dispatch up to Width instructions (the
-// wrong-path instructions of an unresolved mispredicted branch, else the
-// next correct-path ones).
+// squash on resolution, fetch up to Width instructions into the fetched
+// segment while it holds fewer than fetchAhead (the wrong-path instructions
+// of a fetched, unresolved mispredicted branch, else the next correct-path
+// ones), then dispatch up to Width of them.
 type streamDriver struct {
 	b     scheduler
 	mem   *memory.Hierarchy
-	pool  *Pool
 	width int
-	buf   []*DynInst
 
 	ops     []streamOp
 	cur     int
 	wrong   []streamOp
 	waiting bool
+	mispSeq uint64
 	seq     uint64
 }
+
+// fetchAhead bounds the driver's fetched-but-not-dispatched backlog, so the
+// window holds both segments and a squash drops fetched wrong-path entries.
+const fetchAhead = 12
 
 // cycleResult is what one driven cycle exposes for comparison.
 type cycleResult struct {
@@ -331,18 +350,19 @@ type cycleResult struct {
 func (dr *streamDriver) cycle(now uint64) cycleResult {
 	var res cycleResult
 	dr.mem.Tick(now)
-	committed, resolved := dr.b.TickInto(now, dr.buf[:0])
-	dr.buf = committed
-	for _, d := range committed {
-		res.commits = append(res.commits, d.Seq)
-		dr.pool.Put(d)
+	committed, resolved := dr.b.TickInto(now)
+	for i := 0; i < committed; i++ {
+		res.commits = append(res.commits, dr.b.CommittedAt(i).Seq)
 	}
-	if resolved != nil {
-		res.resolved = resolved.Seq + 1
+	if resolved {
+		// The driver fetches nothing correct-path behind a mispredicted
+		// branch until it resolves, so the resolved branch is the one
+		// fetched last.
+		res.resolved = dr.mispSeq + 1
 		res.squashed = dr.b.SquashWrongPath()
 		dr.waiting, dr.wrong = false, nil
 	}
-	for n := 0; n < dr.width && dr.b.FreeSlots() > 0; n++ {
+	for n := 0; n < dr.width && dr.b.Fetched() < fetchAhead; n++ {
 		var op streamOp
 		wrongPath := dr.waiting
 		if wrongPath {
@@ -357,36 +377,35 @@ func (dr *streamDriver) cycle(now uint64) cycleResult {
 			op = dr.ops[dr.cur]
 			dr.cur++
 		}
-		d := dr.pool.Get()
-		d.Static, d.Seq, d.EffAddr, d.FetchedAt = op.si, dr.seq, op.addr, now
+		d := dr.b.FetchSlot()
+		d.SetStatic(op.si)
+		d.Seq, d.EffAddr, d.FetchedAt = dr.seq, op.addr, now
 		d.WrongPath, d.MispredictedBranch = wrongPath, op.misp && !wrongPath
 		dr.seq++
-		dr.b.Dispatch(d, now)
 		if d.MispredictedBranch {
-			dr.waiting, dr.wrong = true, op.wrong
+			dr.waiting, dr.wrong, dr.mispSeq = true, op.wrong, d.Seq
 		}
+	}
+	for n := 0; n < dr.width && dr.b.Dispatch(now); n++ {
 	}
 	res.next = dr.b.NextEvent(now)
 	return res
 }
 
-// progCodec resolves static instructions by PC in a generated program.
-type progCodec []*isa.StaticInst
+// progImage resolves static instructions by PC in a generated program.
+type progImage []*isa.StaticInst
 
-func (p progCodec) SaveStatic(e *snap.Encoder, s *isa.StaticInst) { e.U64(uint64(s.PC)) }
-
-func (p progCodec) LoadStatic(d *snap.Decoder) *isa.StaticInst {
-	pc := d.U64()
-	if pc/4 >= uint64(len(p)) {
-		d.Failf("pipeline test: PC %#x outside the program", pc)
+func (p progImage) Inst(pc isa.Addr) *isa.StaticInst {
+	if uint64(pc/4) >= uint64(len(p)) {
 		return nil
 	}
 	return p[pc/4]
 }
 
-// restoreThroughSnapshot saves the back-end and its memory hierarchy and
-// loads them into fresh ones, which the driver continues with.
-func restoreThroughSnapshot(t *testing.T, dr *streamDriver, cfg Config, memCfg memory.Config, codec progCodec) {
+// restoreThroughSnapshot saves the back-end (its fetched segment, then the
+// rest, as the core does) and its memory hierarchy, and loads them into
+// fresh ones, which the driver continues with.
+func restoreThroughSnapshot(t *testing.T, dr *streamDriver, cfg Config, memCfg memory.Config, prog progImage) {
 	t.Helper()
 	b := dr.b.(*Backend)
 	rs := memory.NewReqSet()
@@ -394,25 +413,25 @@ func restoreThroughSnapshot(t *testing.T, dr *streamDriver, cfg Config, memCfg m
 	b.AddLiveRequests(rs)
 	var enc snap.Encoder
 	rs.Save(&enc)
+	b.SaveFetched(&enc, rs)
 	dr.mem.SaveState(&enc, rs)
-	b.SaveState(&enc, rs, codec)
+	b.SaveState(&enc, rs)
 
 	mem := memory.MustNew(memCfg)
-	pool := NewPool()
 	nb := MustNew(cfg, mem)
-	nb.SetPool(pool)
 	dec := snap.NewDecoder(enc.Bytes())
 	rs2 := memory.NewReqSet()
 	rs2.Load(dec)
+	nb.LoadFetched(dec, rs2, prog)
 	mem.LoadState(dec, rs2)
-	nb.LoadState(dec, rs2, codec)
+	nb.LoadState(dec, rs2, prog)
 	if err := dec.Err(); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if dec.Remaining() != 0 {
 		t.Fatalf("restore left %d bytes unread", dec.Remaining())
 	}
-	dr.b, dr.mem, dr.pool = nb, mem, pool
+	dr.b, dr.mem = nb, mem
 }
 
 // TestSchedulerMatchesFullWalk drives the masked scheduler and the full-walk
@@ -420,8 +439,9 @@ func restoreThroughSnapshot(t *testing.T, dr *streamDriver, cfg Config, memCfg m
 // and branch instructions with random register dependences, wrong-path
 // suffixes squashed at resolution) and requires the same committed seqs,
 // resolved branch and NextEvent on every cycle. Each stream passes the
-// Backend through SaveState/LoadState once while consumers are parked. RUU
-// sizes 8 and 64 both wrap the 64-slot ring many times.
+// Backend through SaveFetched/SaveState and LoadFetched/LoadState once while
+// consumers are parked and fetched instructions wait for dispatch. RUU sizes
+// 8 and 64 both wrap the 128-position window many times.
 func TestSchedulerMatchesFullWalk(t *testing.T) {
 	for _, ruu := range []int{8, 64} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -431,14 +451,11 @@ func TestSchedulerMatchesFullWalk(t *testing.T) {
 				ops, prog := genStream(seed, 3000)
 				newDriver := func(ref bool) *streamDriver {
 					mem := memory.MustNew(memCfg)
-					pool := NewPool()
-					dr := &streamDriver{mem: mem, pool: pool, width: cfg.Width, ops: ops, buf: make([]*DynInst, 0, cfg.Width)}
+					dr := &streamDriver{mem: mem, width: cfg.Width, ops: ops}
 					if ref {
-						dr.b = newRefBackend(cfg, mem, pool)
+						dr.b = newRefBackend(cfg, mem)
 					} else {
-						b := MustNew(cfg, mem)
-						b.SetPool(pool)
-						dr.b = b
+						dr.b = MustNew(cfg, mem)
 					}
 					return dr
 				}
@@ -457,8 +474,8 @@ func TestSchedulerMatchesFullWalk(t *testing.T) {
 					if ref.squashNotSuffix {
 						t.Fatalf("cycle %d: a squash found correct-path entries younger than wrong-path ones", now)
 					}
-					if !snapshotted && now >= snapFrom && got.b.(*Backend).blocked != 0 {
-						restoreThroughSnapshot(t, got, cfg, memCfg, progCodec(prog))
+					if b := got.b.(*Backend); !snapshotted && now >= snapFrom && b.blocked != 0 && b.fetchN > 0 {
+						restoreThroughSnapshot(t, got, cfg, memCfg, progImage(prog))
 						snapshotted = true
 					}
 					if got.cur == len(ops) && !got.waiting && ref.ruuN == 0 && got.b.(*Backend).Drained() {
@@ -466,7 +483,7 @@ func TestSchedulerMatchesFullWalk(t *testing.T) {
 					}
 				}
 				if !snapshotted {
-					t.Fatalf("no cycle after %d had parked consumers to snapshot", snapFrom)
+					t.Fatalf("no cycle after %d had parked consumers and fetched instructions to snapshot", snapFrom)
 				}
 				b := got.b.(*Backend)
 				if !b.Drained() || ref.ruuN != 0 {

@@ -12,26 +12,34 @@ const (
 	instTag    uint32 = 0x4E494550 // "PEIN"
 )
 
-// InstCodec resolves static-instruction pointers across a snapshot boundary.
-// The core implements it: it owns the program dictionary (PC → canonical
-// *StaticInst) and the shared synthetic nop used for off-image wrong-path
-// fetches, neither of which this package can see.
-type InstCodec interface {
-	// SaveStatic writes a reference to s (nil, the synthetic nop, or an
-	// image instruction identified by PC).
-	SaveStatic(e *snap.Encoder, s *isa.StaticInst)
-	// LoadStatic resolves a reference written by SaveStatic.
-	LoadStatic(d *snap.Decoder) *isa.StaticInst
+// Program resolves a static instruction by PC when a snapshot is restored;
+// *isa.Dictionary implements it.
+type Program interface {
+	Inst(pc isa.Addr) *isa.StaticInst
 }
 
-// SaveInst serialises one DynInst in full: identity, flags, execution state
-// and the dependence references (producer pointers collapse to sequence
-// numbers — restore re-binds them to the live producer still in the RUU, or
-// leaves them detached, which depRef.done treats identically to a departed
+// Static-reference markers of an instruction record: an image instruction
+// (followed by its PC) or the synthetic off-image nop. Marker 0 (no static
+// instruction) is reserved and never written.
+const (
+	staticImage    uint8 = 1
+	staticOffImage uint8 = 2
+)
+
+// saveInst serialises one DynInst in full: identity, flags, execution state,
+// its data-cache request (nil unless it is a load waiting on memory) and the
+// dependence references (window positions collapse to sequence numbers —
+// restore re-binds them to the live producer still in the RUU, or leaves
+// them unlinked, which depRef.done treats identically to a departed
 // producer).
-func SaveInst(e *snap.Encoder, d *DynInst, s *memory.ReqSet, codec InstCodec) {
+func saveInst(e *snap.Encoder, d *DynInst, req *memory.Request, s *memory.ReqSet) {
 	e.Tag(instTag)
-	codec.SaveStatic(e, d.Static)
+	if d.OffImage {
+		e.U8(staticOffImage)
+	} else {
+		e.U8(staticImage)
+		e.U64(uint64(d.Static.PC))
+	}
 	e.U64(d.Seq)
 	e.Bool(d.WrongPath)
 	e.Bool(d.MispredictedBranch)
@@ -40,29 +48,36 @@ func SaveInst(e *snap.Encoder, d *DynInst, s *memory.ReqSet, codec InstCodec) {
 	e.U8(uint8(d.state))
 	e.U64(d.issueAt)
 	e.U64(d.completAt)
-	s.SaveID(e, d.memReq)
+	s.SaveID(e, req)
 	for i := range d.deps {
-		e.Bool(d.deps[i].d != nil)
+		e.Bool(d.deps[i].linked)
 		e.U64(d.deps[i].seq)
 	}
 }
 
-// depFix is a deferred dependence re-bind: restored instructions are linked
-// after the whole RUU has been decoded, since a producer may sit at a higher
-// ring index than its consumer's decode position never does — but scanning
-// once at the end is simpler and the RUU is at most a few dozen entries.
-type depFix struct {
-	d    *DynInst
-	slot int
-	seq  uint64
-}
-
-// LoadInst restores one DynInst saved by SaveInst into d (freshly zeroed).
-// Dependence references are returned as fixups for the caller to resolve
-// once every instruction exists.
-func LoadInst(dec *snap.Decoder, d *DynInst, s *memory.ReqSet, codec InstCodec) []depFix {
+// loadInst restores one DynInst saved by saveInst into d (freshly zeroed)
+// and returns its data-cache request. Dependence references come back
+// unlinked with linked[i] reporting whether reference i had a producer; the
+// caller re-binds them once every instruction is in place.
+func loadInst(dec *snap.Decoder, d *DynInst, s *memory.ReqSet, prog Program) (req *memory.Request, linked [2]bool) {
 	dec.Tag(instTag)
-	d.Static = codec.LoadStatic(dec)
+	switch marker := dec.U8(); marker {
+	case staticOffImage:
+		d.SetStatic(nil)
+	case staticImage:
+		pc := isa.Addr(dec.U64())
+		si := prog.Inst(pc)
+		if si == nil && dec.Err() == nil {
+			dec.Failf("pipeline: static instruction at %#x not in the program", pc)
+		}
+		if si != nil {
+			d.SetStatic(si)
+		}
+	default:
+		if dec.Err() == nil {
+			dec.Failf("pipeline: invalid static instruction marker %d", marker)
+		}
+	}
 	d.Seq = dec.U64()
 	d.WrongPath = dec.Bool()
 	d.MispredictedBranch = dec.Bool()
@@ -71,45 +86,63 @@ func LoadInst(dec *snap.Decoder, d *DynInst, s *memory.ReqSet, codec InstCodec) 
 	st := dec.U8()
 	if dec.Err() == nil && st > uint8(stateCompleted) {
 		dec.Failf("pipeline: invalid instruction state %d", st)
-		return nil
 	}
 	d.state = instState(st)
 	d.issueAt = dec.U64()
 	d.completAt = dec.U64()
-	d.memReq = s.LoadID(dec)
-	var fixes []depFix
+	req = s.LoadID(dec)
 	for i := range d.deps {
-		had := dec.Bool()
-		seq := dec.U64()
-		d.deps[i] = depRef{seq: seq}
-		if had {
-			fixes = append(fixes, depFix{d: d, slot: i, seq: seq})
-		}
+		linked[i] = dec.Bool()
+		d.deps[i] = depRef{seq: dec.U64()}
 	}
-	return fixes
+	return req, linked
 }
 
 // AddLiveRequests registers the in-flight data-cache requests held by RUU
 // entries with the request identity table.
 func (b *Backend) AddLiveRequests(s *memory.ReqSet) {
 	for i := 0; i < b.ruuN; i++ {
-		s.Add(b.ruuAt(i).memReq)
+		s.Add(b.memReq[(b.head+i)&ruuMask])
+	}
+}
+
+// SaveFetched serialises the fetched-but-not-dispatched segment of the
+// window (the front-end's dispatch queue) in fetch order. The core writes it
+// with its own state, ahead of the back-end section.
+func (b *Backend) SaveFetched(e *snap.Encoder, s *memory.ReqSet) {
+	e.Int(b.fetchN)
+	for i := 0; i < b.fetchN; i++ {
+		saveInst(e, &b.win[(b.head+b.ruuN+i)&winMask], nil, s)
+	}
+}
+
+// LoadFetched restores a segment saved by SaveFetched into a freshly built
+// back-end; LoadState then rebuilds the RUU in front of it.
+func (b *Backend) LoadFetched(d *snap.Decoder, s *memory.ReqSet, prog Program) {
+	n := d.Count(FetchQueueCap)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		// Pre-dispatch instructions hold no request and no dependence links
+		// yet (Dispatch establishes them).
+		if req, _ := loadInst(d, b.FetchSlot(), s, prog); req != nil {
+			d.Failf("pipeline: fetched instruction %d holds a memory request", i)
+		}
 	}
 }
 
 // SaveState serialises the back-end: the RUU in program order, the cached
 // event horizon, the register scoreboard (as producer sequence numbers) and
 // the counters.
-func (b *Backend) SaveState(e *snap.Encoder, s *memory.ReqSet, codec InstCodec) {
+func (b *Backend) SaveState(e *snap.Encoder, s *memory.ReqSet) {
 	e.Tag(backendTag)
 	e.Int(b.ruuN)
 	for i := 0; i < b.ruuN; i++ {
-		SaveInst(e, b.ruuAt(i), s, codec)
+		pos := (b.head + i) & winMask
+		saveInst(e, &b.win[pos], b.memReq[pos&ruuMask], s)
 	}
 	e.U64(b.nextEv)
 	e.Bool(b.readyNow)
 	for r := range b.regProducer {
-		e.Bool(b.regProducer[r].d != nil)
+		e.Bool(b.regProducer[r].linked)
 		e.U64(b.regProducer[r].seq)
 	}
 	e.U64(b.committed)
@@ -120,21 +153,20 @@ func (b *Backend) SaveState(e *snap.Encoder, s *memory.ReqSet, codec InstCodec) 
 }
 
 // LoadState restores state saved by SaveState into a back-end built from the
-// same configuration. RUU entries are drawn from the attached pool (fresh
-// allocations when the pool is empty); the ring is re-based at zero and the
-// scheduler masks are rebuilt from the restored entries.
+// same configuration (after LoadFetched, when the snapshot has a fetched
+// segment). The RUU is rebuilt in the positions just before the fetched
+// segment, and the scheduler masks are rebuilt from the restored entries.
 // Dependence and scoreboard references are re-bound to the restored producer
 // instructions by sequence number — a sequence no longer in the RUU restores
-// as a detached reference, which depRef.done already treats as a departed
+// as an unlinked reference, which depRef.done already treats as a departed
 // (completed or squashed) producer.
-func (b *Backend) LoadState(d *snap.Decoder, s *memory.ReqSet, codec InstCodec) {
+func (b *Backend) LoadState(d *snap.Decoder, s *memory.ReqSet, prog Program) {
 	d.Tag(backendTag)
 	n := d.Count(b.cfg.RUUSize)
 	if d.Err() != nil {
 		return
 	}
-	b.ruu = [ruuSlots]*DynInst{}
-	b.ruuHead = 0
+	b.head = (b.head + b.ruuN - n) & winMask
 	b.ruuN = n
 	// The scheduler masks are derived state, rebuilt rather than saved:
 	// every uncompleted entry is active, and none starts parked — the first
@@ -142,42 +174,40 @@ func (b *Backend) LoadState(d *snap.Decoder, s *memory.ReqSet, codec InstCodec) 
 	// have found it waiting.
 	b.active, b.blocked = 0, 0
 	b.waiters = [ruuSlots]uint64{}
-	var fixes []depFix
-	bySeq := make(map[uint64]*DynInst, n)
+	b.memReq = [ruuSlots]*memory.Request{}
+	var linked [ruuSlots][2]bool
+	bySeq := make(map[uint64]int, n)
 	for i := 0; i < n; i++ {
-		var di *DynInst
-		if b.pool != nil {
-			di = b.pool.Get()
-		} else {
-			di = &DynInst{}
-		}
-		fixes = append(fixes, LoadInst(d, di, s, codec)...)
-		b.ruu[i] = di
-		di.slot = uint8(i)
+		pos := (b.head + i) & winMask
+		di := &b.win[pos]
+		*di = DynInst{}
+		b.memReq[pos&ruuMask], linked[i] = loadInst(d, di, s, prog)
 		if di.state != stateCompleted {
-			b.active |= 1 << i
+			b.active |= 1 << (pos & ruuMask)
 		}
-		bySeq[di.Seq] = di
+		bySeq[di.Seq] = pos
 	}
 	if d.Err() != nil {
 		return
 	}
-	for _, f := range fixes {
-		if p, ok := bySeq[f.seq]; ok {
-			f.d.deps[f.slot] = depRef{d: p, seq: f.seq}
+	// link re-binds a saved reference to its producer's restored position.
+	link := func(r *depRef, had bool) {
+		if pos, ok := bySeq[r.seq]; had && ok {
+			r.pos, r.linked = uint8(pos), true
+		}
+	}
+	for i := 0; i < n; i++ {
+		di := &b.win[(b.head+i)&winMask]
+		for k := range di.deps {
+			link(&di.deps[k], linked[i][k])
 		}
 	}
 	b.nextEv = d.U64()
 	b.readyNow = d.Bool()
 	for r := range b.regProducer {
 		had := d.Bool()
-		seq := d.U64()
-		b.regProducer[r] = depRef{seq: seq}
-		if had {
-			if p, ok := bySeq[seq]; ok {
-				b.regProducer[r] = depRef{d: p, seq: seq}
-			}
-		}
+		b.regProducer[r] = depRef{seq: d.U64()}
+		link(&b.regProducer[r], had)
 	}
 	b.committed = d.U64()
 	b.wrongSquash = d.U64()

@@ -31,10 +31,11 @@ type CoreBenchRecord struct {
 	// fast-forwarded over.
 	SkippedFrac float64 `json:"skipped_frac"`
 	// NsPerCycle measures the default (skipping) path, NoSkipNsPerCycle
-	// the per-cycle reference path on the same workload.
+	// the per-cycle reference path on the same workload (fastest rep each).
 	NsPerCycle       float64 `json:"ns_per_cycle"`
 	NoSkipNsPerCycle float64 `json:"noskip_ns_per_cycle"`
-	// SpeedupVsNoSkip is NoSkipNsPerCycle / NsPerCycle.
+	// SpeedupVsNoSkip is the median over reps of the no-skip wall time over
+	// the skip wall time, each rep timing the two modes back to back.
 	SpeedupVsNoSkip float64 `json:"speedup_vs_noskip"`
 	// AllocsPerKCycle is heap allocations per thousand simulated cycles
 	// over a whole run (cold rings included); the steady-state loop itself
@@ -120,9 +121,10 @@ func timedRun(cfg core.Config, w *workload.Workload) (time.Duration, uint64, uin
 
 // MeasureCore benchmarks the cycle engine over profiles × engines with
 // insts-long traces (0 selects 200000) and returns one record per grid point.
-// Each mode is run five times, interleaved, and the fastest wall time kept:
-// the minimum touches the host's quiet-moment floor, so the skip-vs-noskip
-// ratio holds even when single reps absorb scheduler noise.
+// Each of five reps runs the skip and no-skip modes back to back, so both
+// sides of a rep's ratio see the same host moment, and the speedup is the
+// median of the per-rep ratios: one rep that absorbs scheduler noise moves
+// the median less than it moves a ratio of minima taken from different reps.
 func MeasureCore(profiles []string, engines []core.EngineKind, insts int, seed int64) (*CoreBench, error) {
 	if len(profiles) == 0 {
 		profiles = CoreBenchProfiles
@@ -149,13 +151,14 @@ func MeasureCore(profiles []string, engines []core.EngineKind, insts int, seed i
 			rec.Name = prof + "/" + ek.String()
 			var skipWall, noskipWall time.Duration
 			var allocs, skipped uint64
+			var ratios []float64
 			for rep := 0; rep < 5; rep++ {
-				wall, cycles, skippedCycles, mallocs, err := timedRun(coreBenchConfig(ek, false), w)
+				repSkip, cycles, skippedCycles, mallocs, err := timedRun(coreBenchConfig(ek, false), w)
 				if err != nil {
 					return nil, fmt.Errorf("corebench %s: %w", rec.Name, err)
 				}
-				if skipWall == 0 || wall < skipWall {
-					skipWall, allocs = wall, mallocs
+				if skipWall == 0 || repSkip < skipWall {
+					skipWall, allocs = repSkip, mallocs
 				}
 				rec.Cycles, skipped = cycles, skippedCycles
 				wall, refCycles, _, _, err := timedRun(coreBenchConfig(ek, true), w)
@@ -169,11 +172,13 @@ func MeasureCore(profiles []string, engines []core.EngineKind, insts int, seed i
 				if noskipWall == 0 || wall < noskipWall {
 					noskipWall = wall
 				}
+				ratios = append(ratios, wall.Seconds()/repSkip.Seconds())
 			}
 			rec.SkippedFrac = float64(skipped) / float64(rec.Cycles)
 			rec.NsPerCycle = float64(skipWall.Nanoseconds()) / float64(rec.Cycles)
 			rec.NoSkipNsPerCycle = float64(noskipWall.Nanoseconds()) / float64(rec.Cycles)
-			rec.SpeedupVsNoSkip = noskipWall.Seconds() / skipWall.Seconds()
+			sort.Float64s(ratios)
+			rec.SpeedupVsNoSkip = ratios[len(ratios)/2]
 			rec.AllocsPerKCycle = 1000 * float64(allocs) / float64(rec.Cycles)
 			cb.Records = append(cb.Records, rec)
 		}
